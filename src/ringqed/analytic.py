@@ -162,8 +162,7 @@ def polariton_eigenvalues(params: SystemParams) -> np.ndarray:
     for any theta: an outer pair at +-sqrt(2) * g0 and a zero pair at
     p = 0, merging into a degenerate pair at +-g0 when |p| = 1.
     """
-    n0 = coupling_matrix(params, detuning=0.0)
-    return np.linalg.eigvalsh(-n0)
+    return polariton_modes(params)[0]
 
 
 def polariton_modes(params: SystemParams) -> tuple[np.ndarray, np.ndarray]:

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DegenerateFieldError, GridError, ValidationError
-from .tableio import finite, read_table, write_table
+from .tableio import checked_axis, finite, read_table, write_table
 
 # Fields weaker than this fraction of the reference intensity have no
 # well-defined helicity basis and are marked undefined on grid maps.
@@ -72,17 +72,6 @@ class FieldPoint:
         return abs(self.e_rho) ** 2 + abs(self.e_phi) ** 2 + abs(self.e_z) ** 2
 
 
-def _check_axis(values: np.ndarray, name: str) -> None:
-    if values.ndim != 1 or values.size == 0:
-        raise ValidationError("%s axis must be a non-empty 1-D array" % name)
-    if not np.all(np.isfinite(values)):
-        raise ValidationError("%s axis must be finite" % name)
-    if values.size >= 2:
-        steps = np.diff(values)
-        if not (np.all(steps > 0) or np.all(steps < 0)):
-            raise ValidationError("%s axis must be strictly monotone" % name)
-
-
 @dataclass(frozen=True, eq=False)
 class FieldGrid:
     """Complex mode field sampled on a rectilinear (rho, z) grid.
@@ -101,12 +90,10 @@ class FieldGrid:
     label: str = "quasi-TE"
 
     def __post_init__(self):
-        rho = np.asarray(self.rho, dtype=float)
-        z = np.asarray(self.z, dtype=float)
+        rho = checked_axis(self.rho, "rho axis")
+        z = checked_axis(self.z, "z axis")
         object.__setattr__(self, "rho", rho)
         object.__setattr__(self, "z", z)
-        _check_axis(rho, "rho")
-        _check_axis(z, "z")
         if np.any(rho < 0):
             raise ValidationError("rho axis values must be >= 0")
         if int(self.mode_number) != self.mode_number or self.mode_number == 0:
@@ -318,28 +305,18 @@ def counter_propagating(grid: FieldGrid) -> FieldGrid:
     )
 
 
-def _rows_row_major(grid: FieldGrid):
-    for i in range(grid.rho.size):
-        for j in range(grid.z.size):
-            yield i, j
+def _field_columns(grid: FieldGrid) -> list[np.ndarray]:
+    """The FIELD_GRID_COLUMNS of a grid as row-major flat arrays."""
+    rho, z = np.meshgrid(grid.rho, grid.z, indexing="ij")
+    columns = [rho.ravel(), z.ravel()]
+    for e in (grid.e_rho, grid.e_phi, grid.e_z):
+        columns += [e.real.ravel(), e.imag.ravel()]
+    return columns
 
 
 def save_field_grid(path, grid: FieldGrid) -> None:
     """Write a field grid row-major with re/im column pairs per component."""
-    rows = (
-        (
-            grid.rho[i],
-            grid.z[j],
-            grid.e_rho[i, j].real,
-            grid.e_rho[i, j].imag,
-            grid.e_phi[i, j].real,
-            grid.e_phi[i, j].imag,
-            grid.e_z[i, j].real,
-            grid.e_z[i, j].imag,
-        )
-        for i, j in _rows_row_major(grid)
-    )
-    write_table(path, FIELD_GRID_COLUMNS, rows)
+    write_table(path, FIELD_GRID_COLUMNS, zip(*_field_columns(grid)))
 
 
 def load_field_grid(source, mode_number: int = 1, label: str = "quasi-TE") -> FieldGrid:
@@ -427,21 +404,6 @@ def save_helicity_map(path, grid: FieldGrid, hmap: HelicityMap) -> None:
     """Write the field grid columns plus p, abs_e, axis_rho, axis_z."""
     if hmap.p_values.shape != grid.shape:
         raise ValidationError("helicity map shape does not match the field grid")
-    rows = (
-        (
-            grid.rho[i],
-            grid.z[j],
-            grid.e_rho[i, j].real,
-            grid.e_rho[i, j].imag,
-            grid.e_phi[i, j].real,
-            grid.e_phi[i, j].imag,
-            grid.e_z[i, j].real,
-            grid.e_z[i, j].imag,
-            hmap.p_values[i, j],
-            hmap.magnitude[i, j],
-            hmap.axis_rho[i, j],
-            hmap.axis_z[i, j],
-        )
-        for i, j in _rows_row_major(grid)
-    )
+    extra = (hmap.p_values, hmap.magnitude, hmap.axis_rho, hmap.axis_z)
+    rows = zip(*_field_columns(grid), *(values.ravel() for values in extra))
     write_table(path, HELICITY_MAP_COLUMNS, rows)

@@ -23,11 +23,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularSystemError, ValidationError
-from .tableio import finite, write_json, write_table
+from .tableio import checked_axis, finite, write_json, write_table
 
 DIRECTIONS = ("forward", "backward")
 
 SPECTRUM_COLUMNS = ("delta_c", "t_fwd", "t_bwd", "r_fwd", "r_bwd")
+
+# rows 0 and 1 are the drive selectors u of the forward and backward ports
+_IDENTITY = np.eye(4, dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -161,10 +164,10 @@ def coupling_matrix(params: SystemParams, detuning: float = 0.0) -> np.ndarray:
     d12 = params.delta12
     return np.array(
         [
-            [dc, h, np.conj(gp), np.conj(gm)],
+            [dc, h, gp.conjugate(), gm.conjugate()],
             [h, dc, gm, gp],
-            [gp, np.conj(gm), dc + d12 / 2.0, 0.0],
-            [gm, np.conj(gp), 0.0, dc - d12 / 2.0],
+            [gp, gm.conjugate(), dc + d12 / 2.0, 0.0],
+            [gm, gp.conjugate(), 0.0, dc - d12 / 2.0],
         ],
         dtype=complex,
     )
@@ -174,49 +177,87 @@ def decay_matrix(params: SystemParams) -> np.ndarray:
     """Diagonal decay matrix Gamma = diag(kappa, kappa, gamma/2, gamma/2)."""
     k = params.kappa
     g2 = params.gamma / 2.0
-    return np.diag([k, k, g2, g2]).astype(complex)
+    return _IDENTITY * [k, k, g2, g2]
+
+
+def _dynamics(params: SystemParams, detuning) -> np.ndarray:
+    """A = -i N - Gamma; detuning is a float, or an array (n, 1, 1) for a stack."""
+    n = coupling_matrix(params) + detuning * _IDENTITY
+    return -1j * n - decay_matrix(params)
 
 
 def build_linear_system(params: SystemParams, drive: DriveSpec) -> LinearSystem:
     """Assemble A = -i N - Gamma and the drive selector for one direction."""
-    n = coupling_matrix(params, drive.detuning)
-    a = -1j * n - decay_matrix(params)
-    u = np.zeros(4, dtype=complex)
-    u[0 if drive.forward else 1] = 1.0
-    return LinearSystem(matrix=a, drive=u)
+    return LinearSystem(
+        matrix=_dynamics(params, drive.detuning),
+        drive=_IDENTITY[0 if drive.forward else 1].copy(),
+    )
+
+
+class _SystemFailure(SingularSystemError):
+    """A steady-state gate failure; index is the first failing system."""
+
+    def __init__(self, message: str, failed: np.ndarray):
+        super().__init__(message)
+        self.index = int(np.argmax(failed))
 
 
 def steady_state(system: LinearSystem, drive_amp: float) -> np.ndarray:
     """Steady-state amplitudes x solving A x = i * drive_amp * u.
 
-    Setting dx/dt = A x - i E_p u to zero gives A x = i E_p u. The
-    residual is checked against 1e-10 * ||A|| * ||x||.
+    Setting dx/dt = A x - i E_p u to zero gives A x = i E_p u. The system
+    is one matrix (4, 4) with drive (4,), or a stack (n, 4, 4) with drives
+    (n, 4) solved at once. Each system's residual is checked against
+    1e-10 * ||A|| * ||x||, and the first system that fails raises.
     """
-    a = system.matrix
-    rhs = 1j * drive_amp * system.drive
+    a = system.matrix.reshape(-1, 4, 4)
+    rhs = (1j * drive_amp) * system.drive.reshape(-1, 4, 1)
     try:
         x = np.linalg.solve(a, rhs)
     except np.linalg.LinAlgError as exc:
-        raise SingularSystemError("steady-state matrix is singular") from exc
-    if not np.all(np.isfinite(x)):
-        raise SingularSystemError("steady-state solve produced non-finite amplitudes")
-    residual = np.linalg.norm(a @ x - rhs)
-    bound = 1e-10 * np.linalg.norm(a) * max(np.linalg.norm(x), 1e-300)
-    if residual > bound:
-        raise SingularSystemError(
-            "steady-state residual %.3e exceeds tolerance %.3e" % (residual, bound)
-        )
-    return x
+        # det repeats the LU factorization, so its zero marks the failing system
+        raise _SystemFailure("steady-state matrix is singular", np.linalg.det(a) == 0) from exc
+    if not np.isfinite(x).all():
+        failed = ~np.isfinite(x).all(axis=(1, 2))
+        raise _SystemFailure("steady-state solve produced non-finite amplitudes", failed)
+    # ||A x - rhs||**2 > 1e-20 * ||A||**2 * ||x||**2; squares and count_nonzero
+    # keep the single-point call, which the optimizer makes ~1e5 times, cheap
+    residual2 = _squared_norms(a @ x - rhs)
+    bound2 = 1e-20 * _squared_norms(a) * _squared_norms(x)
+    failed = residual2 > bound2
+    if np.count_nonzero(failed):
+        k = int(np.argmax(failed))
+        values = (math.sqrt(residual2[k]), math.sqrt(bound2[k]))
+        raise _SystemFailure("steady-state residual %.3e exceeds tolerance %.3e" % values, failed)
+    return x.reshape(system.drive.shape)
 
 
-def _amplitudes(params: SystemParams, drive: DriveSpec) -> np.ndarray:
-    system = build_linear_system(params, drive)
+def _squared_norms(v: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norm of each matrix in a stack."""
+    flat = v.reshape(len(v), -1)
+    return np.vecdot(flat, flat).real
+
+
+def _singular(params: SystemParams, detuning: float) -> SingularSystemError:
+    return SingularSystemError("singular steady state at detuning %g for %r" % (detuning, params))
+
+
+def _transmitted(params: SystemParams, own):
+    """|i + 2*kappa_ex*own/E_p|**2, own the amplitude of the driven mode."""
+    return abs(1j + (2.0 * params.kappa_ex / params.drive_amp) * own) ** 2
+
+
+def _reflected(params: SystemParams, other):
+    """|2*kappa_ex*other/E_p|**2, other the amplitude of the other mode."""
+    return abs((2.0 * params.kappa_ex / params.drive_amp) * other) ** 2
+
+
+def _driven_and_other(params: SystemParams, drive: DriveSpec):
     try:
-        return steady_state(system, params.drive_amp)
+        x = steady_state(build_linear_system(params, drive), params.drive_amp)
     except SingularSystemError as exc:
-        raise SingularSystemError(
-            "singular steady state at detuning %g for %r" % (drive.detuning, params)
-        ) from exc
+        raise _singular(params, drive.detuning) from exc
+    return (x[0], x[1]) if drive.forward else (x[1], x[0])
 
 
 def transmission(params: SystemParams, drive: DriveSpec) -> float:
@@ -225,9 +266,7 @@ def transmission(params: SystemParams, drive: DriveSpec) -> float:
     The intracavity amplitude <o> is <a> for forward drive and <b> for
     backward drive.
     """
-    x = _amplitudes(params, drive)
-    amp = x[0] if drive.forward else x[1]
-    return abs(1j + 2.0 * params.kappa_ex * amp / params.drive_amp) ** 2
+    return _transmitted(params, _driven_and_other(params, drive)[0])
 
 
 def reflection(params: SystemParams, drive: DriveSpec) -> float:
@@ -236,50 +275,34 @@ def reflection(params: SystemParams, drive: DriveSpec) -> float:
     The reflected signal leaves through the mode counter-propagating to
     the drive, so <o'> is <b> for forward drive and <a> for backward.
     """
-    x = _amplitudes(params, drive)
-    amp = x[1] if drive.forward else x[0]
-    return abs(2.0 * params.kappa_ex * amp / params.drive_amp) ** 2
-
-
-def _check_monotone(values: np.ndarray, what: str) -> None:
-    if values.size >= 2:
-        steps = np.diff(values)
-        if not (np.all(steps > 0) or np.all(steps < 0)):
-            raise ValidationError("%s must be strictly monotone" % what)
+    return _reflected(params, _driven_and_other(params, drive)[1])
 
 
 def spectrum(params: SystemParams, detunings) -> SpectrumResult:
     """Transmission and reflection in both directions over a detuning grid.
 
-    Grid points where the steady-state solve fails (possible only at
-    measure-zero parameter combinations) are marked NaN rather than
-    aborting the sweep.
+    All points and both directions are one stacked steady-state solve.
+    A + A^H = -2 Gamma is negative definite, so A is invertible for every
+    valid parameter set; a failed gate raises, naming the first failing
+    detuning, as transmission and reflection do.
     """
-    grid = np.asarray(detunings, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ValidationError("detuning grid must be a non-empty 1-D array")
-    if not np.all(np.isfinite(grid)):
-        raise ValidationError("detuning grid must be finite")
-    _check_monotone(grid, "detuning grid")
-    out = {key: np.empty(grid.size) for key in ("t_fwd", "t_bwd", "r_fwd", "r_bwd")}
-    for i, dc in enumerate(grid):
-        for direction, tkey, rkey in (
-            ("forward", "t_fwd", "r_fwd"),
-            ("backward", "t_bwd", "r_bwd"),
-        ):
-            drive = DriveSpec(direction, dc)
-            try:
-                x = _amplitudes(params, drive)
-            except SingularSystemError:
-                out[tkey][i] = math.nan
-                out[rkey][i] = math.nan
-                continue
-            t_amp = x[0] if direction == "forward" else x[1]
-            r_amp = x[1] if direction == "forward" else x[0]
-            scale = 2.0 * params.kappa_ex / params.drive_amp
-            out[tkey][i] = abs(1j + scale * t_amp) ** 2
-            out[rkey][i] = abs(scale * r_amp) ** 2
-    return SpectrumResult(detunings=grid, **out)
+    grid = checked_axis(detunings, "detuning grid")
+    # system 2*i + k drives port k (0 forward, 1 backward) at grid[i]
+    system = LinearSystem(
+        matrix=_dynamics(params, np.repeat(grid, 2)[:, None, None]),
+        drive=np.tile(_IDENTITY[:2], (grid.size, 1)),
+    )
+    try:
+        x = steady_state(system, params.drive_amp).reshape(grid.size, 2, 4)
+    except _SystemFailure as exc:
+        raise _singular(params, grid[exc.index // 2]) from exc
+    return SpectrumResult(
+        detunings=grid,
+        t_fwd=_transmitted(params, x[:, 0, 0]),
+        t_bwd=_transmitted(params, x[:, 1, 1]),
+        r_fwd=_reflected(params, x[:, 0, 1]),
+        r_bwd=_reflected(params, x[:, 1, 0]),
+    )
 
 
 def save_spectrum(path, result: SpectrumResult, params: SystemParams, sidecar=None):

@@ -27,7 +27,7 @@ from .errors import (
     ValidationError,
 )
 from .model import DriveSpec, SystemParams, transmission
-from .tableio import write_table
+from .tableio import checked_axis, write_table
 
 # T_b values below this are clamped for dB reporting and flagged saturated.
 CONTRAST_FLOOR = 1e-12
@@ -527,15 +527,8 @@ def sweep_grid(
     best node's splitting; refined points below the ridge threshold form
     the trace polyline.
     """
-    kex_axis = np.asarray(kappa_ex_axis, dtype=float)
-    d12_axis = np.asarray(delta12_axis, dtype=float)
-    for axis, name in ((kex_axis, "kappa_ex"), (d12_axis, "delta12")):
-        if axis.ndim != 1 or axis.size == 0 or not np.all(np.isfinite(axis)):
-            raise ValidationError("%s axis must be a finite non-empty 1-D array" % name)
-        if axis.size >= 2:
-            steps = np.diff(axis)
-            if not (np.all(steps > 0) or np.all(steps < 0)):
-                raise ValidationError("%s axis must be strictly monotone" % name)
+    kex_axis = checked_axis(kappa_ex_axis, "kappa_ex axis")
+    d12_axis = checked_axis(delta12_axis, "delta12 axis")
 
     nk, nd = kex_axis.size, d12_axis.size
     delta_c = np.full((nk, nd), math.nan)

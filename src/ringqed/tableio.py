@@ -2,7 +2,8 @@
 
 Tables are comma-separated UTF-8 with a single header row. Floating-point
 values are written with 17 significant digits so that every value survives
-a round trip through text exactly.
+a round trip through text exactly. The module also holds the value checks
+shared by the other modules: finite numbers and monotone axes.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import GridError
+from .errors import GridError, ValidationError
 
 FLOAT_FORMAT = "%.17g"
 
@@ -98,3 +99,20 @@ def finite(value) -> bool:
         return math.isfinite(float(value))
     except (TypeError, ValueError):
         return False
+
+
+def checked_axis(values, name: str) -> np.ndarray:
+    """values as a float array, or ValidationError naming the axis.
+
+    An axis is a finite, non-empty, strictly monotone 1-D array, running
+    in either direction.
+    """
+    axis = np.asarray(values, dtype=float)
+    if axis.ndim != 1 or axis.size == 0:
+        raise ValidationError("%s must be a non-empty 1-D array" % name)
+    if not np.all(np.isfinite(axis)):
+        raise ValidationError("%s must be finite" % name)
+    steps = np.diff(axis)
+    if not (np.all(steps > 0) or np.all(steps < 0)):
+        raise ValidationError("%s must be strictly monotone" % name)
+    return axis

@@ -3,7 +3,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ringqed import model
 from ringqed.errors import SingularSystemError, ValidationError
 from ringqed.model import (
     DriveSpec,
@@ -114,6 +117,29 @@ def test_steady_state_rejects_singular_matrix():
     bad = LinearSystem(matrix=np.zeros((4, 4), complex), drive=np.array([1, 0, 0, 0], complex))
     with pytest.raises(SingularSystemError):
         steady_state(bad, drive_amp=1.0)
+    # one singular system in a stack fails the whole stack
+    good = build_linear_system(NONIDEAL, DriveSpec("forward", 3.0))
+    stack = LinearSystem(
+        matrix=np.stack([good.matrix, bad.matrix, good.matrix]),
+        drive=np.stack([good.drive] * 3),
+    )
+    with pytest.raises(SingularSystemError, match="singular"):
+        steady_state(stack, drive_amp=1.0)
+    # a pivot this small overflows the solution
+    tiny = LinearSystem(matrix=np.diag([1e-310, 1.0, 1.0, 1.0]).astype(complex), drive=bad.drive)
+    with pytest.raises(SingularSystemError, match="non-finite"):
+        steady_state(tiny, drive_amp=1.0)
+
+
+def test_steady_state_stack_matches_single_solves():
+    systems = [build_linear_system(NONIDEAL, DriveSpec(d, dc))
+               for d in ("forward", "backward") for dc in (-12.0, 0.0, 30.0)]
+    stack = LinearSystem(matrix=np.stack([s.matrix for s in systems]),
+                         drive=np.stack([s.drive for s in systems]))
+    x = steady_state(stack, drive_amp=2.5)
+    assert x.shape == (6, 4)
+    for row, system in zip(x, systems):
+        assert np.array_equal(row, steady_state(system, drive_amp=2.5))
 
 
 # --- transmission / reflection ---
@@ -204,6 +230,23 @@ def test_spectrum_grid_validation():
         spectrum(IDEAL, [[0.0, 1.0]])
 
 
+def test_spectrum_gate_failure_names_first_failing_detuning(monkeypatch):
+    # A is invertible for every valid parameter set, so break one system
+    # of the stack by hand: system 2*i + 1 is the backward drive at grid[i]
+    dynamics = model._dynamics
+
+    def broken(params, detuning):
+        a = dynamics(params, detuning)
+        if a.ndim == 3:
+            a[5] = 0.0
+            a[7] = 0.0
+        return a
+
+    monkeypatch.setattr(model, "_dynamics", broken)
+    with pytest.raises(SingularSystemError, match="at detuning -5 "):
+        spectrum(NONIDEAL, [-10.0, -7.5, -5.0, -2.5])
+
+
 def test_spectrum_accepts_descending_grid():
     up = spectrum(IDEAL, np.linspace(-10, 10, 5))
     down = spectrum(IDEAL, np.linspace(10, -10, 5))
@@ -219,3 +262,62 @@ def test_save_spectrum_writes_table_and_sidecar(tmp_path):
     assert len(lines) == 4
     meta = (tmp_path / "s.meta.json").read_text()
     assert '"g0": 20.0' in meta
+
+
+# --- invariants over random parameters ---
+
+system_params = st.builds(
+    SystemParams,
+    g0=st.floats(0.0, 40.0),
+    kappa_i=st.floats(0.0, 10.0),
+    kappa_ex=st.floats(0.05, 15.0),
+    theta=st.floats(-math.pi, math.pi),
+    p=st.floats(-1.0, 1.0),
+    h=st.floats(0.0, 30.0),
+    gamma=st.floats(0.1, 5.0),
+    delta12=st.floats(-60.0, 60.0),
+    drive_amp=st.floats(0.1, 10.0),
+)
+detuning = st.floats(-100.0, 100.0)
+invariants = settings(derandomize=True, database=None, deadline=None, max_examples=150)
+
+
+@invariants
+@given(system_params, st.lists(detuning, min_size=1, max_size=8, unique=True))
+def test_spectrum_equals_per_point_responses(params, points):
+    grid = np.sort(points)
+    result = spectrum(params, grid)
+    for i, dc in enumerate(grid):
+        for direction, t, r in (("forward", result.t_fwd, result.r_fwd),
+                                ("backward", result.t_bwd, result.r_bwd)):
+            drive = DriveSpec(direction, dc)
+            assert t[i] == pytest.approx(transmission(params, drive), abs=1e-12)
+            assert r[i] == pytest.approx(reflection(params, drive), abs=1e-12)
+
+
+@invariants
+@given(system_params, detuning)
+def test_reciprocal_without_splitting_randomized(params, dc):
+    params = replace(params, delta12=0.0)
+    tf = transmission(params, DriveSpec("forward", dc))
+    tb = transmission(params, DriveSpec("backward", dc))
+    assert tb == pytest.approx(tf, abs=1e-10)
+
+
+@invariants
+@given(system_params, detuning)
+def test_passivity_randomized(params, dc):
+    for direction in ("forward", "backward"):
+        drive = DriveSpec(direction, dc)
+        t, r = transmission(params, drive), reflection(params, drive)
+        assert t >= 0.0 and r >= 0.0
+        assert t + r <= 1.0 + 1e-12
+
+
+@invariants
+@given(system_params, detuning)
+def test_direction_swap_equals_helicity_flip_randomized(params, dc):
+    mirrored = replace(params, p=-params.p, theta=-params.theta)
+    forward, backward = DriveSpec("forward", dc), DriveSpec("backward", dc)
+    assert transmission(mirrored, backward) == pytest.approx(transmission(params, forward), abs=1e-12)
+    assert reflection(mirrored, backward) == pytest.approx(reflection(params, forward), abs=1e-12)
