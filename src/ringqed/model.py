@@ -46,7 +46,8 @@ class SystemParams:
               its phase is absorbed into theta)
     gamma     emitter decay rate, the unit of every other rate
     delta12   splitting between the two excited states
-    drive_amp probe amplitude (transmission is independent of it)
+    drive_amp probe amplitude, magnitude in [1e-100, 1e100] (transmission
+              is independent of it)
     """
 
     g0: float
@@ -82,8 +83,10 @@ class SystemParams:
             raise ValidationError("p must lie in [-1, 1]")
         if self.kappa <= 0:
             raise ValidationError("kappa_ex + kappa_i must be > 0")
-        if self.drive_amp == 0:
-            raise ValidationError("drive_amp must be nonzero")
+        # beyond these magnitudes the squared norms in the residual gate of
+        # steady_state overflow or underflow, which would void the gate
+        if not 1e-100 <= abs(self.drive_amp) <= 1e100:
+            raise ValidationError("drive_amp must be nonzero, with magnitude in [1e-100, 1e100]")
 
     @property
     def kappa(self) -> float:

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -185,6 +186,23 @@ def test_transmission_independent_of_drive_amplitude():
     a = transmission(NONIDEAL, DriveSpec("backward", -12.0))
     b = transmission(replace(NONIDEAL, drive_amp=37.5), DriveSpec("backward", -12.0))
     assert b == pytest.approx(a, rel=1e-14)
+
+
+def test_drive_amplitude_range():
+    # outside [1e-100, 1e100] the squared norms of the residual gate
+    # overflow or underflow, so such amplitudes are rejected up front
+    for amp in (1e160, -1e160, 1e-160, -1e-160):
+        with pytest.raises(ValidationError, match="drive_amp"):
+            SystemParams(g0=20.0, kappa_i=1.0, kappa_ex=5.0, drive_amp=amp)
+    reference = [transmission(NONIDEAL, DriveSpec(d, -12.0)) for d in ("forward", "backward")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for amp in (1e-100, -1e-100, 1e100, -1e100):
+            params = replace(NONIDEAL, drive_amp=amp)
+            for direction, ref in zip(("forward", "backward"), reference):
+                assert transmission(params, DriveSpec(direction, -12.0)) == pytest.approx(
+                    ref, abs=1e-12
+                )
 
 
 def test_reciprocal_when_splitting_vanishes():

@@ -1,9 +1,16 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
+from scipy.sparse.linalg import splu
 
+from ringqed import oracle
 from ringqed.errors import (
     NonUniqueSteadyStateError,
+    SteadyStateError,
     TruncationError,
     ValidationError,
 )
@@ -38,6 +45,16 @@ def number_ops(n_max):
     return n_a, n_b, pop1, pop2
 
 
+def direct_steady_state(lio):
+    """rho from one SuperLU solve with row 0 replaced by the trace row."""
+    d = math.isqrt(lio.shape[0])
+    trace_row = sparse.csr_matrix(np.eye(d).reshape(1, -1, order="F"))
+    constrained = sparse.vstack([trace_row, sparse.csr_matrix(lio)[1:]], format="csc")
+    rhs = np.zeros(d * d, dtype=complex)
+    rhs[0] = 1.0
+    return splu(constrained).solve(rhs).reshape((d, d), order="F")
+
+
 # --- truncation spec ---
 
 
@@ -70,6 +87,17 @@ def test_liouvillian_preserves_trace():
     trace_row = np.zeros(d * d)
     trace_row[np.arange(d) * (d + 1)] = 1.0
     assert np.max(np.abs(trace_row @ lio.toarray())) < 1e-10
+
+
+def test_undriven_part_is_liouvillian_without_drive():
+    # the coherent drive is the only term that changes the excitation number
+    silent = TruncationSpec(n_max=2, drive_amp=0.0)
+    driven = TruncationSpec(n_max=2, drive_amp=0.3)
+    for direction in ("forward", "backward"):
+        drive = DriveSpec(direction, 4.0)
+        lio = build_liouvillian(NONIDEAL, driven, drive)
+        conserving = oracle._excitation_conserving(lio, driven.dimension)
+        assert abs(conserving - build_liouvillian(NONIDEAL, silent, drive)).max() == 0.0
 
 
 # --- steady-state physicality ---
@@ -146,6 +174,85 @@ def test_cutoff_insensitive_at_weak_drive():
         NONIDEAL, TruncationSpec(n_max=3, drive_amp=0.01), "forward", -12.0
     )
     assert abs(t3 - t2) < 1e-10
+
+
+# --- solver paths ---
+
+oracle_params = st.builds(
+    SystemParams,
+    g0=st.floats(0.0, 40.0),
+    kappa_i=st.floats(0.0, 10.0),
+    kappa_ex=st.floats(0.05, 15.0),
+    theta=st.floats(-math.pi, math.pi),
+    p=st.floats(-1.0, 1.0),
+    h=st.floats(0.0, 30.0),
+    gamma=st.floats(0.1, 5.0),
+    delta12=st.floats(-60.0, 60.0),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(
+    oracle_params,
+    st.floats(1e-3, 3.0),
+    st.sampled_from(["forward", "backward"]),
+    st.floats(-60.0, 60.0),
+)
+def test_steady_state_matches_direct_solve_randomized(params, amp, direction, detuning):
+    trunc = TruncationSpec(n_max=2, drive_amp=amp)
+    lio = build_liouvillian(params, trunc, DriveSpec(direction, detuning))
+    rho = steady_density_matrix(lio).matrix
+    assert np.max(np.abs(rho - direct_steady_state(lio))) <= 1e-12
+
+
+def hermiticity_breaking(lio, d):
+    """lio conjugated by a scaling of rho[1, 0] alone.
+
+    Its null vector is the steady state with rho[1, 0] doubled and
+    rho[0, 1] kept, which has unit trace but is not Hermitian.
+    """
+    scale = np.ones(d * d)
+    scale[1] = 2.0
+    return (sparse.diags(scale) @ lio @ sparse.diags(1.0 / scale)).tocsc()
+
+
+def test_gmres_failure_falls_back_to_direct_solve(monkeypatch):
+    lio = build_liouvillian(NONIDEAL, WEAK, DriveSpec("forward", -12.0))
+    expected = steady_density_matrix(lio).matrix
+    skewed = hermiticity_breaking(lio, WEAK.dimension)
+    with pytest.raises(SteadyStateError, match="Hermiticity"):
+        steady_density_matrix(skewed)
+
+    factored = []
+
+    def counting_splu(matrix, **kwargs):
+        factored.append(matrix.nnz)
+        return splu(matrix, **kwargs)
+
+    def failing_gmres(matrix, rhs, **kwargs):
+        return np.full_like(rhs, np.nan), 1
+
+    monkeypatch.setattr(oracle, "splu", counting_splu)
+    monkeypatch.setattr(oracle, "gmres", failing_gmres)
+    rho = steady_density_matrix(lio).matrix
+    # the preconditioner, then the full matrix, which has the drive's entries
+    assert len(factored) == 2 and factored[1] > factored[0]
+    assert np.max(np.abs(rho - expected)) <= 1e-14
+    assert np.max(np.abs(rho - direct_steady_state(lio))) <= 1e-14
+    with pytest.raises(SteadyStateError, match="Hermiticity"):
+        steady_density_matrix(skewed)
+
+
+def test_other_dimensions_solve_directly():
+    # a driven, decaying two-level system is not in the (n+1)**2 * 4 basis
+    sm = sparse.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    drive = 0.5 * (sm + sm.T)
+    lio = oracle._commutator_superop(drive) + oracle._dissipator_superop(sm, 1.0)
+    rho = steady_density_matrix(lio).matrix
+    assert np.max(np.abs(rho - direct_steady_state(lio.tocsc()))) <= 1e-14
+    # resonance fluorescence with H = (Omega/2) sigma_x, Omega = gamma = 1:
+    # excited population s/(2(1+s)) with s = 2 Omega^2 / gamma^2 = 2
+    assert rho[1, 1].real == pytest.approx(1.0 / 3.0, abs=1e-14)
 
 
 # --- failure modes ---
