@@ -131,8 +131,10 @@ def _resolve_params(config: dict, command: str) -> SystemParams:
         raise ConfigError("missing required parameter(s): %s" % ", ".join(missing))
     values = dict(raw)
     if "kappa_ex" not in values:
-        # placeholder for searches that scan the coupling anyway
-        values["kappa_ex"] = values["kappa_i"] + values.get("gamma", 1.0)
+        # placeholder for searches that scan the coupling anyway; when
+        # kappa_i or gamma is not a number, SystemParams names it
+        kappa_i, gamma = values["kappa_i"], values.get("gamma", 1.0)
+        values["kappa_ex"] = kappa_i + gamma if finite(kappa_i) and finite(gamma) else 1.0
     try:
         return SystemParams(**values)
     except (TypeError, ValueError) as exc:

@@ -96,9 +96,10 @@ class FieldGrid:
         object.__setattr__(self, "z", z)
         if np.any(rho < 0):
             raise ValidationError("rho axis values must be >= 0")
-        if int(self.mode_number) != self.mode_number or self.mode_number == 0:
+        m = self.mode_number
+        if not finite(m) or int(m) != m or m == 0:
             raise ValidationError("mode_number must be a nonzero integer")
-        object.__setattr__(self, "mode_number", int(self.mode_number))
+        object.__setattr__(self, "mode_number", int(m))
         shape = (rho.size, z.size)
         for name in ("e_rho", "e_phi", "e_z"):
             arr = np.asarray(getattr(self, name), dtype=complex)

@@ -1,13 +1,17 @@
 """Search utilities on the zero-backward-transmission manifold.
 
-Backward transmission can be driven to zero along a one-dimensional line
-in the space spanned by the waveguide coupling, the excited-state
-splitting, and the operating detuning. This module locates the backward
-dip detuning, traces the zero line, maximizes the isolation contrast
-along it, and produces contour-sweep data over (kappa_ex, delta12).
-
-All searches are derivative-free, deterministically seeded, and accept a
-point only when the backward transmission re-evaluates below threshold.
+Backward transmission vanishes along a line in (kappa_ex, delta12,
+delta_c). By the matrix determinant lemma the backward amplitude is
+proportional to det(Delta*I + N0(delta12) - i*Gamma_b), where Gamma_b is
+the decay matrix with the backward-mode rate kappa replaced by
+kappa_i - kappa_ex. At one coupling that determinant has degree 4 in the
+detuning Delta and 2 in the splitting delta12, so its real zeros are the
+real roots of one resultant of its real and imaginary parts, found
+without seeds. Each root is re-evaluated through the 4x4 model; one that
+misses ZERO_TB_TARGET is polished by a Nelder-Mead simplex. On that zero
+set this module traces the zero line, maximizes the isolation contrast
+by a bounded search over the coupling, locates the backward dip, and
+produces contour-sweep data over (kappa_ex, delta12).
 """
 
 from __future__ import annotations
@@ -16,45 +20,48 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 from scipy.optimize import minimize, minimize_scalar
 
-from .analytic import IsolationPoint, isolation_conditions, polariton_modes
-from .errors import (
-    ConstraintError,
-    ContinuationError,
-    NoDipError,
-    SingularSystemError,
-    ValidationError,
-)
-from .model import DriveSpec, SystemParams, transmission
+from .analytic import IsolationPoint, polariton_modes
+from .errors import ContinuationError, NoDipError, SingularSystemError, ValidationError
+from .model import DriveSpec, SystemParams, coupling_matrix, decay_matrix, transmission
 from .tableio import checked_axis, write_table
 
 # T_b values below this are clamped for dB reporting and flagged saturated.
 CONTRAST_FLOOR = 1e-12
 
-# A traced line point must re-evaluate below this backward transmission.
+# A fixed-splitting operating point counts as converged below this T_b.
 ZERO_TB_ACCEPT = 1e-8
 
-# Internal optimizer target, two decades tighter than the acceptance.
+# Every zero found or reported re-evaluates below this backward transmission.
 ZERO_TB_TARGET = 1e-10
 
 # Contour ridge extraction threshold on the refined backward minimum.
 RIDGE_THRESHOLD = 1e-6
 
-CONTOUR_COLUMNS = (
-    "kappa_ex",
-    "delta12",
-    "delta_c",
-    "t_fwd",
-    "t_bwd",
-    "contrast_db",
-    "saturated",
-)
+# A resultant root reading T_b above this is no zero (the spurious roots
+# of its ill-conditioned top coefficients read T_b ~ 1); one between
+# ZERO_TB_TARGET and this is polished.
+_POLISH_BELOW = 1e-3
+
+# Relative imaginary part up to which a resultant root counts as real;
+# the roots of genuine zeros stayed near 1e-7 or below on random hardware.
+_REAL_ROOT_TOL = 1e-6
+
+# Couplings in the logarithmic scan that brackets the contrast maximum.
+_SCAN_POINTS = 48
+
+CONTOUR_COLUMNS = ("kappa_ex", "delta12", "delta_c", "t_fwd", "t_bwd", "contrast_db", "saturated")
 
 
 @dataclass(frozen=True)
 class OptimizationResult:
-    """Optimal operating point with achieved transmissions and contrast."""
+    """Optimal operating point with achieved transmissions and contrast.
+
+    iterations counts the resultant solves plus the T_b evaluations of
+    the polishing simplex runs.
+    """
 
     kappa_ex: float
     delta12: float
@@ -130,11 +137,7 @@ def cavity_dip_detuning(params: SystemParams) -> float:
         for c in clusters
     ]
 
-    candidates = [
-        (center, weight)
-        for center, weight in zip(centers, weights)
-        if center <= tol
-    ]
+    candidates = [(center, weight) for center, weight in zip(centers, weights) if center <= tol]
     results = []
     for center, weight in candidates:
         width = max(params.kappa, params.gamma)
@@ -152,109 +155,83 @@ def cavity_dip_detuning(params: SystemParams) -> float:
         if lo + edge < res.x < hi - edge:
             results.append((float(res.fun), -weight, abs(float(res.x)), float(res.x)))
     if not results:
-        raise NoDipError(
-            "no interior backward-transmission minimum found for %r" % (params,)
-        )
+        raise NoDipError("no interior backward-transmission minimum found for %r" % (params,))
     results.sort()
     return results[0][3]
 
 
-def _ideal_seeds(params: SystemParams) -> list[tuple[float, float]]:
-    """Closed-form seed and its mirror image, when inside validity."""
-    try:
-        d12, dc = isolation_conditions(
-            params.g0, params.gamma, params.kappa_i, params.kappa_ex
-        )
-    except ConstraintError:
-        return []
-    return [(d12, dc), (-d12, -dc)]
+def _minimize_tb(params, seed):
+    """Polish a near-zero of T_b over (delta12, delta_c) by two simplex passes.
 
-
-def _lattice_seeds(params: SystemParams) -> list[tuple[float, float]]:
-    """Deterministic coarse seeds covering both splitting signs.
-
-    The closed-form seed can sit far from the zero line once
-    backscattering and imperfect helicity shift it, so a coupling-scaled
-    lattice backs it up.
+    The second pass restarts from the first's best point with a fresh
+    simplex and tighter tolerances; neither can end above its start.
+    Returns T_b, the point, and the number of T_b evaluations spent.
     """
-    scale = max(params.g0, params.gamma)
-    seeds = []
-    for sign in (1.0, -1.0):
-        for fd in (0.5, 1.0, 1.5, 2.25, 3.0):
-            for fc in (0.3, 0.6, 1.0, 1.6):
-                seeds.append((sign * fd * scale, -sign * fc * scale))
-    return seeds
+    x, evaluations = np.asarray(seed, dtype=float), 0
+    for xatol, fatol, maxiter in ((1e-9, 1e-18, 250), (1e-11, 1e-22, 400)):
+        options = {"xatol": xatol, "fatol": fatol, "maxiter": maxiter}
+        res = minimize(lambda y: _tb(params, y[0], y[1]), x, method="Nelder-Mead", options=options)
+        x, evaluations = res.x, evaluations + res.nfev
+    return float(res.fun), (float(x[0]), float(x[1])), evaluations
 
 
-class _Budget:
-    """Objective evaluation counter shared across one search."""
+def _tb_zeros(params: SystemParams) -> tuple[list[IsolationPoint], int]:
+    """Every real zero (delta12, delta_c) of T_b at the couplings of params.
 
-    def __init__(self):
-        self.count = 0
-
-
-def _minimize_tb(params, seed, budget, promising=1e-3):
-    """Two-pass simplex minimization of T_b over (delta12, delta_c).
-
-    The second, tighter pass runs only when the first lands close enough
-    to zero to be worth polishing.
+    D(Delta, delta12) = det(Delta*I + N0(delta12) - i*Gamma_b) is
+    interpolated exactly at scaled roots of unity, five in Delta and three
+    in delta12, so its coefficients come from one 2-D FFT. For real
+    arguments D = 0 means Re D = Im D = 0, two quadratics in delta12 whose
+    resultant is a polynomial in Delta; each real root gives delta12 as
+    the near-real root of D(Delta, .). Returns the zeros, each at
+    T_b <= ZERO_TB_TARGET, and the count of one resultant solve plus the
+    polishing evaluations.
     """
+    scale = max(params.g0, params.kappa, params.h, params.gamma)
+    gamma_b = decay_matrix(params)
+    gamma_b[1, 1] -= 2.0 * params.kappa_ex
+    x = scale * np.exp(2j * np.pi * np.arange(5) / 5)[:, None, None, None]
+    y = scale * np.exp(2j * np.pi * np.arange(3) / 3)[None, :, None, None]
+    n0 = coupling_matrix(replace(params, delta12=0.0))
+    split = coupling_matrix(replace(params, delta12=1.0)) - n0
+    matrices = n0 - 1j * gamma_b + x * np.eye(4) + y * split
+    # coef[k, j] multiplies (Delta/scale)**k * (delta12/scale)**j
+    coef = np.fft.fft2(np.linalg.det(matrices)) / (15 * scale**4)
+    re, im = coef.real.T, coef.imag.T
 
-    def objective(y):
-        budget.count += 1
-        return _tb(params, y[0], y[1])
+    def cross(i, j):
+        return P.polysub(P.polymul(re[i], im[j]), P.polymul(re[j], im[i]))
 
-    x0 = np.asarray(seed, dtype=float)
-    res = minimize(
-        objective,
-        x0,
-        method="Nelder-Mead",
-        options={"xatol": 1e-9, "fatol": 1e-18, "maxiter": 250},
-    )
-    if res.fun < promising:
-        res2 = minimize(
-            objective,
-            res.x,
-            method="Nelder-Mead",
-            options={"xatol": 1e-11, "fatol": 1e-22, "maxiter": 400},
-        )
-        if res2.fun < res.fun:
-            res = res2
-    return float(res.fun), (float(res.x[0]), float(res.x[1]))
+    # resultant of re[2] v^2 + re[1] v + re[0] and im[2] v^2 + im[1] v + im[0]
+    resultant = P.polysub(P.polymul(cross(2, 0), cross(2, 0)), P.polymul(cross(2, 1), cross(1, 0)))
 
-
-def _refine_zero(params, seeds, budget, accept, stop_at=None):
-    """Best zero candidate over a seed list, or None below acceptance.
-
-    stop_at short-circuits the battery once a sufficiently deep zero is
-    found; pass None to evaluate every seed and keep the global best.
-    """
-    best = None
-    for seed in seeds:
-        fun, point = _minimize_tb(params, seed, budget)
-        if best is None or fun < best[0]:
-            best = (fun, point)
-        if stop_at is not None and best[0] <= stop_at:
-            break
-    if best is None or best[0] > accept:
-        return None
-    return best
-
-
-def _zero_battery(params, budget, accept):
-    """All distinct zeros reachable from the full seed battery."""
-    zeros = []
-    for seed in _ideal_seeds(params) + _lattice_seeds(params):
-        fun, point = _minimize_tb(params, seed, budget)
-        if fun > accept:
+    zeros, evaluations = [], 1
+    for u in P.polyroots(resultant):
+        if abs(u.imag) > _REAL_ROOT_TOL * max(1.0, abs(u)):
             continue
-        if any(
-            math.hypot(point[0] - z[1][0], point[1] - z[1][1]) < 0.5 * params.gamma
-            for z in zeros
-        ):
+        v = P.polyroots(P.polyval(u.real, coef))
+        point = (scale * v[np.argmin(np.abs(v.imag))].real, scale * u.real)
+        tb = _tb(params, *point)
+        if tb > _POLISH_BELOW:
             continue
-        zeros.append((fun, point))
-    return zeros
+        if tb > ZERO_TB_TARGET:
+            tb, point, spent = _minimize_tb(params, point)
+            evaluations += spent
+            if tb > ZERO_TB_TARGET:
+                continue
+        zeros.append(IsolationPoint(params.kappa_ex, point[0], point[1], _tf(params, *point)))
+    return zeros, evaluations
+
+
+def _follow(zeros: list[IsolationPoint], ref: IsolationPoint | None) -> IsolationPoint:
+    """The zero nearest ref in (delta12, delta_c).
+
+    With nothing to follow, the most transmissive zero with delta_c <= 0,
+    the branch cavity_dip_detuning reports.
+    """
+    if ref is None:
+        return max(zeros, key=lambda z: (z.delta_c <= 0, z.t_fwd_predicted))
+    return min(zeros, key=lambda z: math.hypot(z.delta12 - ref.delta12, z.delta_c - ref.delta_c))
 
 
 def trace_zero_tb_line(
@@ -265,100 +242,45 @@ def trace_zero_tb_line(
 ) -> list[IsolationPoint]:
     """Zero-backward-transmission line over a range of waveguide couplings.
 
-    Each sample minimizes T_b over (delta12, delta_c), seeded by the
-    solutions of neighboring samples (continuation), the closed-form
-    conditions, and a deterministic lattice. Points are accepted at
-    T_b <= 1e-8. Raises ContinuationError listing the samples that could
-    not be driven below threshold; the error carries the successful
-    points for callers that want partial traces.
+    Each sample takes the exact zero set at its coupling and keeps the
+    zero nearest the previous sample's point. Samples are visited outward
+    from the one nearest seed.kappa_ex, which keeps the zero nearest seed;
+    without a seed they run upward from the first, which keeps the most
+    transmissive zero of non-positive detuning. Points re-evaluate at
+    T_b <= 1e-10. Raises ContinuationError listing the samples that admit
+    no zero; the error carries the successful points for callers that
+    want partial traces.
     """
     lo, hi = float(kappa_ex_range[0]), float(kappa_ex_range[1])
     if not (lo <= hi):
         raise ValidationError("kappa_ex range must satisfy lo <= hi")
     if lo <= params_fixed.kappa_i:
-        raise ValidationError(
-            "zero-backward tracing requires kappa_ex > kappa_i over the range"
-        )
+        raise ValidationError("zero-backward tracing requires kappa_ex > kappa_i over the range")
     if n_points < 1:
         raise ValidationError("n_points must be >= 1")
     samples = np.linspace(lo, hi, n_points)
+    start = 0 if seed is None else int(np.argmin(np.abs(samples - seed.kappa_ex)))
 
-    if seed is not None:
-        start = int(np.argmin(np.abs(samples - seed.kappa_ex)))
-        order = sorted(range(n_points), key=lambda i: (abs(i - start), i))
-    else:
-        order = list(range(n_points))
-
-    budget = _Budget()
-    solutions: dict[int, tuple[float, float]] = {}
+    found: dict[int, IsolationPoint] = {}
     failures: list[float] = []
-    for idx in order:
-        params = replace(params_fixed, kappa_ex=float(samples[idx]))
-        neighbor_seeds = [
-            solutions[j]
-            for j in sorted(
-                (j for j in solutions if abs(j - idx) <= 2),
-                key=lambda j: abs(j - idx),
-            )
-        ]
-        seeds = list(neighbor_seeds)
-        if seed is not None and not solutions:
-            seeds.append((seed.delta12, seed.delta_c))
-        seeds.extend(_ideal_seeds(params))
-        seeds.extend(_lattice_seeds(params))
-        best = _refine_zero(params, seeds, budget, ZERO_TB_ACCEPT, stop_at=ZERO_TB_TARGET)
-        if best is None:
-            failures.append(float(samples[idx]))
-        else:
-            solutions[idx] = best[1]
+    for walk in (range(start, n_points), range(start - 1, -1, -1)):
+        ref = found.get(start, seed)
+        for idx in walk:
+            zeros, _ = _tb_zeros(replace(params_fixed, kappa_ex=float(samples[idx])))
+            if zeros:
+                ref = found[idx] = _follow(zeros, ref)
+            else:
+                failures.append(float(samples[idx]))
 
-    points = [
-        IsolationPoint(
-            kappa_ex=float(samples[idx]),
-            delta12=solutions[idx][0],
-            delta_c=solutions[idx][1],
-            t_fwd_predicted=_tf(
-                replace(params_fixed, kappa_ex=float(samples[idx])),
-                solutions[idx][0],
-                solutions[idx][1],
-            ),
-        )
-        for idx in sorted(solutions)
-    ]
+    points = [found[idx] for idx in sorted(found)]
     if failures:
+        failures.sort()
         raise ContinuationError(
-            "backward transmission could not be driven below %.1e at "
-            "kappa_ex = %s" % (ZERO_TB_ACCEPT, ", ".join("%g" % k for k in failures)),
+            "no zero-backward-transmission point at kappa_ex = %s"
+            % ", ".join("%g" % k for k in failures),
             failed_kappa_ex=failures,
             points=points,
         )
-    return points
-
-
-def _continue_family(params_fixed, start_kex, start_sol, sign, kex_lo, kex_hi, budget):
-    """Walk one zero family in kappa_ex until it is lost or stops paying."""
-    points = []
-    kex, sol = start_kex, start_sol
-    best_tf = _tf(replace(params_fixed, kappa_ex=kex), sol[0], sol[1])
-    decline = 0
-    for _ in range(200):
-        step = max(0.02 * kex, 0.01 * params_fixed.gamma)
-        kex_next = kex + sign * step
-        if not (kex_lo < kex_next < kex_hi):
-            break
-        params = replace(params_fixed, kappa_ex=float(kex_next))
-        fun, point = _minimize_tb(params, sol, budget)
-        if fun > ZERO_TB_TARGET:
-            break
-        tf = _tf(params, point[0], point[1])
-        points.append((float(kex_next), point, tf))
-        if tf > best_tf:
-            best_tf, decline = tf, 0
-        else:
-            decline += 1
-            if decline >= 8:
-                break
-        kex, sol = kex_next, point
     return points
 
 
@@ -367,10 +289,12 @@ def maximize_contrast(
 ) -> OptimizationResult:
     """Operating point of maximal isolation contrast at zero T_b.
 
-    Zeros of the backward transmission are collected on a logarithmic
-    anchor grid of couplings, the most transmissive families are followed
-    by continuation, and the best family is polished with a bounded
-    one-dimensional search. kappa_ex and delta12 of params_fixed are
+    The objective at one coupling is the best forward transmission among
+    that coupling's exact zeros. A logarithmic scan over
+    (kappa_i, kappa_i + 1.05*(gamma/2 + 10*max(g0, gamma))] brackets its
+    local maxima, each is refined by a bounded one-dimensional search,
+    and the best point, in the positive-splitting convention, is polished
+    before it is reported. kappa_ex and delta12 of params_fixed are
     ignored (they are being optimized); g0, gamma, kappa_i, h, p, theta
     are treated as fixed hardware.
 
@@ -399,119 +323,54 @@ def maximize_contrast(
     if params_fixed.g0 <= 0:
         raise ValidationError("contrast maximization requires g0 > 0")
     gamma = params_fixed.gamma
-    ki = params_fixed.kappa_i
     dk_hi = gamma / 2.0 + 10.0 * max(params_fixed.g0, gamma)
-    kex_lo = ki + 1e-6 * gamma
-    kex_hi = ki + 1.05 * dk_hi
-    anchors = ki + np.geomspace(0.05 * gamma, dk_hi, 12)
+    # the best T_f can peak in the narrow window just above kappa_i and
+    # again at large couplings, so the scan is logarithmic in kappa_ex - kappa_i
+    scan = params_fixed.kappa_i + np.geomspace(1e-6 * gamma, 1.05 * dk_hi, _SCAN_POINTS)
 
-    budget = _Budget()
-    candidates = []  # (tf, kappa_ex, (delta12, delta_c), family id)
-    families = 0
-    for kex in anchors:
-        params = replace(params_fixed, kappa_ex=float(kex))
-        for fun, point in _zero_battery(params, budget, ZERO_TB_TARGET):
-            tf = _tf(params, point[0], point[1])
-            candidates.append((tf, float(kex), point, families))
-            families += 1
-    if not candidates:
+    best: dict[float, IsolationPoint] = {}
+    evaluations = 0
+
+    def negative_tf(kex):
+        nonlocal evaluations
+        zeros, spent = _tb_zeros(replace(params_fixed, kappa_ex=float(kex)))
+        evaluations += spent
+        if not zeros:
+            return 0.0
+        best[float(kex)] = max(zeros, key=lambda z: z.t_fwd_predicted)
+        return -best[float(kex)].t_fwd_predicted
+
+    values = [negative_tf(kex) for kex in scan]
+    if not best:
         raise ContinuationError(
-            "no zero-backward-transmission point found over the anchor grid; "
-            "cannot maximize contrast",
-            failed_kappa_ex=[float(k) for k in anchors],
+            "no zero-backward-transmission point over the coupling scan; cannot maximize contrast",
+            failed_kappa_ex=[float(k) for k in scan],
         )
+    for i, value in enumerate(values):
+        lo, hi = max(i - 1, 0), min(i + 1, _SCAN_POINTS - 1)
+        if value < 0 and value <= min(values[lo], values[hi]):
+            bounds = (scan[lo], scan[hi])
+            # the result is read from best, where negative_tf records every visit
+            minimize_scalar(negative_tf, bounds=bounds, method="bounded", options={"xatol": 1e-6})
 
-    candidates.sort(reverse=True)
-    for tf0, kex0, sol0, fam0 in list(candidates[:3]):
-        for sign in (-1.0, 1.0):
-            candidates.extend(
-                (tf, kex, point, fam0)
-                for kex, point, tf in _continue_family(
-                    params_fixed, kex0, sol0, sign, kex_lo, kex_hi, budget
-                )
-            )
-
-    best_tf, best_kex, best_sol, _ = max(candidates)
-
-    # One representative per distinct zero family, best sample first. A
-    # walk step can straddle a narrow peak (the forward transmission can
-    # collapse within a few percent of coupling), so every family near
-    # the lead gets its own bounded refinement around its best sample.
-    # Families whose best sample coincides with an already chosen
-    # representative (sign mirrors included) are redundant.
-    reps = []
-    seen = []
-    seen_fams = set()
-    for tf, kex, sol, fam in sorted(candidates, reverse=True):
-        if tf < best_tf - 0.05 or len(reps) >= 8:
-            break
-        if fam in seen_fams:
-            continue
-        seen_fams.add(fam)
-        if any(
-            abs(kex - k2) <= 0.03 * max(kex, k2)
-            and abs(abs(sol[0]) - abs(s2[0])) <= max(2.0 * gamma, 0.05 * abs(s2[0]))
-            for k2, s2 in seen
-        ):
-            continue
-        reps.append((tf, kex, sol))
-        seen.append((kex, sol))
-
-    for rep_tf, rep_kex, rep_sol in reps:
-        local = {rep_kex: rep_sol}
-        for tf, kex, sol, fam in candidates:
-            near = abs(kex - rep_kex) <= 0.05 * rep_kex
-            same = abs(sol[0] - rep_sol[0]) <= max(2.0 * gamma, 0.2 * abs(rep_sol[0]))
-            if near and same:
-                local[kex] = sol
-
-        def objective(kex, local=local):
-            params = replace(params_fixed, kappa_ex=float(kex))
-            nearest = min(local, key=lambda k: abs(k - kex))
-            fun, point = _minimize_tb(params, local[nearest], budget)
-            if fun > ZERO_TB_TARGET:
-                return 1.0
-            local[float(kex)] = point
-            return -_tf(params, point[0], point[1])
-
-        step = max(0.021 * rep_kex, 0.011 * gamma)
-        res = minimize_scalar(
-            objective,
-            bounds=(max(kex_lo, rep_kex - step), min(kex_hi, rep_kex + step)),
-            method="bounded",
-            options={"xatol": 1e-6},
-        )
-        if -res.fun > best_tf:
-            kex_star = float(res.x)
-            sol_star = local.get(kex_star)
-            if sol_star is None:
-                nearest = min(local, key=lambda k: abs(k - kex_star))
-                fun, sol_star = _minimize_tb(
-                    replace(params_fixed, kappa_ex=kex_star),
-                    local[nearest],
-                    budget,
-                )
-                if fun > ZERO_TB_TARGET:
-                    continue
-            best_tf, best_kex, best_sol = -res.fun, kex_star, sol_star
-
-    params = replace(params_fixed, kappa_ex=best_kex)
-    if best_sol[0] < 0:
-        # the sign-flipped point (-delta12, -delta_c) is gauge-equivalent
-        # when it is also a zero; prefer the positive-splitting convention
-        mirror = (-best_sol[0], -best_sol[1])
-        if _tb(params, mirror[0], mirror[1]) <= ZERO_TB_TARGET:
-            best_sol = mirror
-    tb = _tb(params, best_sol[0], best_sol[1])
-    tf = _tf(params, best_sol[0], best_sol[1])
+    point = max(best.values(), key=lambda z: z.t_fwd_predicted)
+    params = replace(params_fixed, kappa_ex=point.kappa_ex)
+    sol = (point.delta12, point.delta_c)
+    if sol[0] < 0 and _tb(params, -sol[0], -sol[1]) <= ZERO_TB_TARGET:
+        # the sign-flipped point is gauge-equivalent when it is also a
+        # zero; prefer the positive-splitting convention
+        sol = (-sol[0], -sol[1])
+    # polished always, so convergence does not hinge on the root's conditioning
+    tb, sol, spent = _minimize_tb(params, sol)
+    tf = _tf(params, sol[0], sol[1])
     return OptimizationResult(
-        kappa_ex=best_kex,
-        delta12=best_sol[0],
-        delta_c=best_sol[1],
+        kappa_ex=point.kappa_ex,
+        delta12=sol[0],
+        delta_c=sol[1],
         t_fwd=tf,
         t_bwd=tb,
         contrast_db=contrast_db(tf, tb),
-        iterations=budget.count,
+        iterations=evaluations + spent,
         converged=bool(tb <= ZERO_TB_TARGET),
     )
 
@@ -530,25 +389,6 @@ def sweep_grid(
     kex_axis = checked_axis(kappa_ex_axis, "kappa_ex axis")
     d12_axis = checked_axis(delta12_axis, "delta12 axis")
 
-    nk, nd = kex_axis.size, d12_axis.size
-    delta_c = np.full((nk, nd), math.nan)
-    t_fwd = np.full((nk, nd), math.nan)
-    t_bwd = np.full((nk, nd), math.nan)
-    contrast = np.full((nk, nd), math.nan)
-    saturated = np.zeros((nk, nd), dtype=bool)
-    for i, kex in enumerate(kex_axis):
-        for j, d12 in enumerate(d12_axis):
-            params = replace(params_fixed, kappa_ex=float(kex), delta12=float(d12))
-            try:
-                dc = cavity_dip_detuning(params)
-            except (NoDipError, SingularSystemError):
-                continue
-            delta_c[i, j] = dc
-            t_fwd[i, j] = transmission(params, DriveSpec("forward", dc))
-            t_bwd[i, j] = transmission(params, DriveSpec("backward", dc))
-            contrast[i, j] = contrast_db(t_fwd[i, j], t_bwd[i, j])
-            saturated[i, j] = t_bwd[i, j] < CONTRAST_FLOOR
-
     def dip_tb(kex: float, d12: float) -> tuple[float, float, float]:
         params = replace(params_fixed, kappa_ex=float(kex), delta12=float(d12))
         dc = cavity_dip_detuning(params)
@@ -558,7 +398,21 @@ def sweep_grid(
             dc,
         )
 
-    trace = []
+    nk, nd = kex_axis.size, d12_axis.size
+    delta_c = np.full((nk, nd), math.nan)
+    t_fwd = np.full((nk, nd), math.nan)
+    t_bwd = np.full((nk, nd), math.nan)
+    contrast = np.full((nk, nd), math.nan)
+    saturated = np.zeros((nk, nd), dtype=bool)
+    for i, kex in enumerate(kex_axis):
+        for j, d12 in enumerate(d12_axis):
+            try:
+                t_bwd[i, j], t_fwd[i, j], delta_c[i, j] = dip_tb(kex, d12)
+            except (NoDipError, SingularSystemError):
+                continue
+            contrast[i, j] = contrast_db(t_fwd[i, j], t_bwd[i, j])
+            saturated[i, j] = t_bwd[i, j] < CONTRAST_FLOOR
+
     trace_rows = []
     for i, kex in enumerate(kex_axis):
         row = t_bwd[i]
@@ -584,19 +438,10 @@ def sweep_grid(
             d12_star = float(res.x)
             tb_star, tf_star, dc_star = dip_tb(kex, d12_star)
         if tb_star < RIDGE_THRESHOLD:
-            trace.append((float(kex), d12_star))
-            trace_rows.append(
-                (
-                    float(kex),
-                    d12_star,
-                    dc_star,
-                    tf_star,
-                    tb_star,
-                    contrast_db(tf_star, tb_star),
-                    tb_star < CONTRAST_FLOOR,
-                )
-            )
+            row = (float(kex), d12_star, dc_star, tf_star, tb_star)
+            trace_rows.append((*row, contrast_db(tf_star, tb_star), tb_star < CONTRAST_FLOOR))
 
+    trace_rows = np.asarray(trace_rows, dtype=float).reshape(-1, 7)
     return ContourData(
         kappa_ex=kex_axis,
         delta12=d12_axis,
@@ -605,8 +450,8 @@ def sweep_grid(
         t_bwd=t_bwd,
         contrast_db=contrast,
         saturated=saturated,
-        zero_tb_trace=np.asarray(trace, dtype=float).reshape(-1, 2),
-        zero_tb_rows=np.asarray(trace_rows, dtype=float).reshape(-1, 7),
+        zero_tb_trace=trace_rows[:, :2],
+        zero_tb_rows=trace_rows,
     )
 
 
@@ -630,8 +475,5 @@ def save_contour(path, contour: ContourData) -> None:
 
 def save_zero_trace(path, contour: ContourData) -> None:
     """Write the refined zero-T_b trace with the contour schema."""
-    rows = (
-        (row[0], row[1], row[2], row[3], row[4], row[5], bool(row[6]))
-        for row in contour.zero_tb_rows
-    )
+    rows = ((*row[:6], bool(row[6])) for row in contour.zero_tb_rows)
     write_table(path, CONTOUR_COLUMNS, rows)

@@ -35,6 +35,7 @@ from .errors import (
     ValidationError,
 )
 from .model import DriveSpec, SystemParams, couplings
+from .tableio import finite
 
 MAX_N_MAX = 4
 
@@ -56,13 +57,13 @@ class TruncationSpec:
     drive_amp: float = 0.01
 
     def __post_init__(self):
-        if int(self.n_max) != self.n_max or self.n_max < 1:
+        if not finite(self.n_max) or int(self.n_max) != self.n_max or self.n_max < 1:
             raise TruncationError("n_max must be an integer >= 1")
         if self.n_max > MAX_N_MAX:
             raise TruncationError(
                 "n_max=%d exceeds the supported maximum %d" % (self.n_max, MAX_N_MAX)
             )
-        if not math.isfinite(self.drive_amp) or self.drive_amp < 0:
+        if not finite(self.drive_amp) or self.drive_amp < 0:
             raise ValidationError("drive_amp must be finite and >= 0")
 
     @property

@@ -94,7 +94,13 @@ def read_json(path):
 
 
 def finite(value) -> bool:
-    """True for real numbers that are neither NaN nor infinite."""
+    """True for real numbers that are neither NaN nor infinite.
+
+    Strings are not numbers here, even when they parse as one, so a
+    validator that passes a value on to arithmetic never sees one.
+    """
+    if isinstance(value, (str, bytes)):
+        return False
     try:
         return math.isfinite(float(value))
     except (TypeError, ValueError):

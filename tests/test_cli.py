@@ -325,6 +325,46 @@ def test_malformed_json_reports_position(tmp_path):
     assert "line 1" in message
 
 
+@pytest.mark.parametrize(
+    "command, section, key, value",
+    [
+        (command, "params", key, value)
+        for command in ("sweep", "optimize")
+        for key in ("kappa_i", "gamma")
+        for value in ("x", None)
+    ]
+    + [
+        ("helicity", "helicity", "mode_number", None),
+        ("helicity", "helicity", "mode_number", "x"),
+        ("validate", "validate", "n_max", None),
+        ("validate", "validate", "drive_amp", "x"),
+    ],
+)
+def test_wrong_typed_config_value_exits_2(tmp_path, command, section, key, value):
+    # sweep and optimize run without kappa_ex, which the CLI fills in
+    params = IDEAL_PARAMS if command == "validate" else {"g0": 20.0, "kappa_i": 5.0}
+    payload = {"params": dict(params)}
+    payload.setdefault(section, {})[key] = value
+    if command == "helicity":
+        shape = (2, 2)
+        field = FieldGrid(
+            rho=np.array([1.0, 1.2]),
+            z=np.array([-0.1, 0.1]),
+            e_rho=np.ones(shape, dtype=complex),
+            e_phi=np.full(shape, 1j),
+            e_z=np.zeros(shape, dtype=complex),
+            mode_number=1,
+        )
+        save_field_grid(tmp_path / "field.csv", field)
+        payload["helicity"]["input"] = str(tmp_path / "field.csv")
+    config = write_config(tmp_path / "c.json", payload)
+    out = tmp_path / "out"
+    assert run(command, config, out) == 2
+    error = json.loads((out / "error.json").read_text(encoding="utf-8"))
+    assert error["exit_code"] == 2
+    assert key in error["message"]
+
+
 def test_bad_threads_exit_2(tmp_path):
     config = write_config(tmp_path / "c.json", {"params": IDEAL_PARAMS})
     assert run("spectrum", config, tmp_path / "out", "--threads", "0") == 2

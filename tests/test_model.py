@@ -297,7 +297,7 @@ system_params = st.builds(
     drive_amp=st.floats(0.1, 10.0),
 )
 detuning = st.floats(-100.0, 100.0)
-invariants = settings(derandomize=True, database=None, deadline=None, max_examples=150)
+invariants = settings(max_examples=150)
 
 
 @invariants

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ringqed.analytic import IsolationPoint, isolation_conditions, optimal_coupling
 from ringqed.errors import ContinuationError, ValidationError
@@ -12,6 +14,7 @@ from ringqed.optimize import (
     CONTRAST_FLOOR,
     RIDGE_THRESHOLD,
     ZERO_TB_ACCEPT,
+    _tb_zeros,
     cavity_dip_detuning,
     contrast_db,
     maximize_contrast,
@@ -113,6 +116,53 @@ def test_trace_is_deterministic():
     first = trace_zero_tb_line(NONIDEAL, (7.0, 8.0), 3)
     second = trace_zero_tb_line(NONIDEAL, (7.0, 8.0), 3)
     assert first == second
+
+
+# --- exact zero set ---
+
+hardware = st.builds(
+    SystemParams,
+    g0=st.floats(0.0, 40.0),
+    kappa_i=st.floats(0.0, 10.0),
+    kappa_ex=st.floats(0.05, 40.0),
+    theta=st.floats(-math.pi, math.pi),
+    p=st.floats(-1.0, 1.0),
+    h=st.floats(0.0, 30.0),
+)
+
+
+@settings(max_examples=150)
+@given(hardware)
+def test_zero_set_reevaluates_below_target(params):
+    zeros, evaluations = _tb_zeros(params)
+    assert evaluations >= 1
+    for zero in zeros:
+        assert zero.kappa_ex == params.kappa_ex
+        assert backward_at(params, zero.delta12, zero.delta_c) <= 1e-10
+        forward = transmission(
+            replace(params, delta12=zero.delta12), DriveSpec("forward", zero.delta_c)
+        )
+        assert zero.t_fwd_predicted == forward
+
+
+@settings(max_examples=100)
+@given(
+    st.floats(1.0, 30.0),
+    st.floats(0.0, 8.0),
+    st.floats(1e-3, 0.999),
+    st.sampled_from([-1.0, 1.0]),
+    st.floats(-math.pi, math.pi),
+)
+def test_zero_set_contains_closed_form_point(g0, kappa_i, fraction, p, theta):
+    # valid couplings satisfy 0 < kappa_ex - kappa_i <= 2*g0**2/gamma
+    kappa_ex = kappa_i + fraction * 2.0 * g0**2
+    params = SystemParams(g0=g0, kappa_i=kappa_i, kappa_ex=kappa_ex, p=p, theta=theta)
+    d12, dc = isolation_conditions(g0, 1.0, kappa_i, kappa_ex)
+    # at p = -1 the two transitions swap roles, which flips the splitting
+    d12 *= p
+    zeros, _ = _tb_zeros(params)
+    miss = min(math.hypot(z.delta12 - d12, z.delta_c - dc) for z in zeros)
+    assert miss <= 1e-6 * max(1.0, math.hypot(d12, dc))
 
 
 # --- contrast maximization ---

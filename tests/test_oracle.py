@@ -191,7 +191,7 @@ oracle_params = st.builds(
 )
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@settings(max_examples=40)
 @given(
     oracle_params,
     st.floats(1e-3, 3.0),

@@ -86,5 +86,7 @@ def test_finite():
     assert finite(0)
     assert not finite(math.nan)
     assert not finite(math.inf)
+    assert finite(np.float64(-2.0))
     assert not finite("x")
+    assert not finite("1.5")
     assert not finite(None)
