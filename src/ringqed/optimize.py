@@ -9,9 +9,15 @@ detuning Delta and 2 in the splitting delta12, so its real zeros are the
 real roots of one resultant of its real and imaginary parts, found
 without seeds. Each root is re-evaluated through the 4x4 model; one that
 misses ZERO_TB_TARGET is polished by a Nelder-Mead simplex. On that zero
-set this module traces the zero line, maximizes the isolation contrast
-by a bounded search over the coupling, locates the backward dip, and
-produces contour-sweep data over (kappa_ex, delta12).
+set this module traces the zero line and maximizes the isolation contrast
+by a bounded search over the coupling.
+
+The same lemma gives the backward amplitude in pole-zero form,
+t_b(Delta) = i*prod(Delta - z_k)/prod(Delta - p_k), with the poles the
+eigenvalues of i*Gamma - N0 and the zeros those of i*Gamma_b - N0. The
+backward-dip search behind the contour sweeps over (kappa_ex, delta12)
+reads T_b from that product, factored once per node, and reports the
+transmissions of the 4x4 solve at the dip.
 """
 
 from __future__ import annotations
@@ -109,35 +115,68 @@ def _tf(params: SystemParams, delta12: float, delta_c: float) -> float:
     return transmission(p, DriveSpec("forward", float(delta_c)))
 
 
+def _backward_decay(params: SystemParams) -> np.ndarray:
+    """Gamma_b: the decay matrix with 2*kappa_ex taken off the backward mode."""
+    gamma_b = decay_matrix(params)
+    gamma_b[1, 1] -= 2.0 * params.kappa_ex
+    return gamma_b
+
+
+def _tb_factors(params: SystemParams) -> list[tuple[complex, complex]]:
+    """Zero-pole pairs (z_k, p_k) of t_b(Delta) = i*prod (Delta - z_k)/(Delta - p_k).
+
+    The poles are the eigenvalues of i*Gamma - N0 (damped_eigenvalues) and
+    the zeros those of i*Gamma_b - N0, one stacked eigvals for both. The
+    pairing is arbitrary: only the whole product is meaningful.
+    """
+    n0 = coupling_matrix(params)
+    decay = np.stack([decay_matrix(params), _backward_decay(params)])
+    poles, zeros = np.linalg.eigvals(1j * decay - n0).tolist()
+    return list(zip(zeros, poles))
+
+
+def _tb_rational(factors: list[tuple[complex, complex]], delta_c: float) -> float:
+    """Backward transmission |prod (Delta - z_k)/(Delta - p_k)|**2 at Delta = delta_c."""
+    # a numpy scalar would route every complex operation through numpy
+    delta_c, ratio = float(delta_c), 1.0
+    for zero, pole in factors:
+        ratio *= (delta_c - zero) / (delta_c - pole)
+    return abs(ratio) ** 2
+
+
 def cavity_dip_detuning(params: SystemParams) -> float:
     """Detuning of the backward-transmission dip used for contour sweeps.
 
     Dips sit at the polariton eigen-detunings, so each non-positive
     eigenvalue seeds a bounded one-dimensional minimization of T_b (the
     relevant branch has negative detuning, matching the sign of the
-    ideal-case operating point). Among the bracketed interior minima the
-    deepest one is returned; ties fall to the candidate whose eigenvector
-    has the larger photonic weight. Raises NoDipError when every local
-    search escapes its bracket.
+    ideal-case operating point). T_b is read from the pole-zero form of
+    the backward amplitude, factored once per call, so a search step
+    costs a product of four ratios instead of a 4x4 solve. Among the
+    bracketed interior minima the deepest one is returned; ties fall to
+    the candidate whose eigenvector has the larger photonic weight.
+    Raises NoDipError when every local search escapes its bracket.
     """
     values, vectors = polariton_modes(params)
-    scale = max(1.0, float(np.max(np.abs(values))))
-    tol = 1e-9 * scale
+    values = values.tolist()
+    weights = np.sum(abs(vectors[:2]) ** 2, axis=0).tolist()
+    # the values ascend, so an end holds the largest magnitude
+    tol = 1e-9 * max(1.0, abs(values[0]), abs(values[-1]))
 
-    # cluster degenerate eigenvalues and average their photonic weights
-    clusters: list[list[int]] = []
+    # runs of degenerate eigenvalues as [value sum, weight sum, count];
+    # each run reports its mean eigenvalue and mean photonic weight
+    runs: list[list] = []
     for idx in range(4):
-        if clusters and values[idx] - values[clusters[-1][-1]] <= tol:
-            clusters[-1].append(idx)
+        if runs and values[idx] - values[idx - 1] <= tol:
+            runs[-1][0] += values[idx]
+            runs[-1][1] += weights[idx]
+            runs[-1][2] += 1
         else:
-            clusters.append([idx])
-    centers = [float(np.mean(values[c])) for c in clusters]
-    weights = [
-        float(np.mean([np.sum(np.abs(vectors[:2, k]) ** 2) for k in c]))
-        for c in clusters
-    ]
+            runs.append([values[idx], weights[idx], 1])
+    centers = [total / count for total, _, count in runs]
+    candidates = [(c, w / count) for c, (_, w, count) in zip(centers, runs) if c <= tol]
 
-    candidates = [(center, weight) for center, weight in zip(centers, weights) if center <= tol]
+    factors = _tb_factors(params)
     results = []
     for center, weight in candidates:
         width = max(params.kappa, params.gamma)
@@ -146,7 +185,7 @@ def cavity_dip_detuning(params: SystemParams) -> float:
             width = max(width, 0.5 * min(abs(center - o) for o in others))
         lo, hi = center - width, center + width
         res = minimize_scalar(
-            lambda dc: _tb(params, params.delta12, dc),
+            lambda dc: _tb_rational(factors, dc),
             bounds=(lo, hi),
             method="bounded",
             options={"xatol": 1e-8},
@@ -188,8 +227,7 @@ def _tb_zeros(params: SystemParams) -> tuple[list[IsolationPoint], int]:
     polishing evaluations.
     """
     scale = max(params.g0, params.kappa, params.h, params.gamma)
-    gamma_b = decay_matrix(params)
-    gamma_b[1, 1] -= 2.0 * params.kappa_ex
+    gamma_b = _backward_decay(params)
     x = scale * np.exp(2j * np.pi * np.arange(5) / 5)[:, None, None, None]
     y = scale * np.exp(2j * np.pi * np.arange(3) / 3)[None, :, None, None]
     n0 = coupling_matrix(replace(params, delta12=0.0))

@@ -1,11 +1,14 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ringqed
 from ringqed.cli import main
 from ringqed.helicity import (
     FieldGrid,
@@ -379,10 +382,14 @@ def test_bad_set_syntax_exits_2(tmp_path):
 
 
 def test_console_script_version():
+    # the subprocess imports the same package as this process, installed or not
+    src = str(Path(ringqed.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "ringqed.cli", "--version"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.strip().startswith("ringqed ")

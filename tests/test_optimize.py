@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ringqed.analytic import IsolationPoint, isolation_conditions, optimal_coupling
@@ -14,6 +14,8 @@ from ringqed.optimize import (
     CONTRAST_FLOOR,
     RIDGE_THRESHOLD,
     ZERO_TB_ACCEPT,
+    _tb_factors,
+    _tb_rational,
     _tb_zeros,
     cavity_dip_detuning,
     contrast_db,
@@ -65,6 +67,59 @@ def test_dip_of_bare_cavity_sits_at_resonance():
 def test_dip_regression_with_backscattering():
     params = replace(NONIDEAL, delta12=30.0)
     assert abs(cavity_dip_detuning(params) - (-12.247764284722717)) < 1e-6
+
+
+def or_corner(corner, values):
+    return st.one_of(st.just(corner), values)
+
+
+@settings(max_examples=200)
+@given(
+    st.builds(
+        SystemParams,
+        g0=or_corner(0.0, st.floats(0.0, 40.0)),
+        kappa_i=st.floats(0.0, 10.0),
+        kappa_ex=st.floats(0.05, 40.0),
+        theta=st.floats(-math.pi, math.pi),
+        p=st.one_of(st.sampled_from([-1.0, 1.0]), st.floats(-1.0, 1.0)),
+        h=or_corner(0.0, st.floats(0.0, 30.0)),
+        delta12=or_corner(0.0, st.floats(-60.0, 60.0)),
+    ),
+    st.lists(st.floats(-80.0, 80.0), min_size=1, max_size=5),
+)
+# no emitter: the emitter's zeros cancel its poles
+@example(SystemParams(g0=0.0, kappa_i=5.0, kappa_ex=6.0, delta12=10.0), [-5.0, 0.0, 5.0])
+# decoupled directions, with and without splitting
+@example(SystemParams(g0=20.0, kappa_i=5.0, kappa_ex=6.0, p=1.0), [-20.0, -14.1, 0.0])
+@example(SystemParams(g0=20.0, kappa_i=5.0, kappa_ex=6.0, p=-1.0, delta12=28.0), [-12.0])
+# reciprocal hardware
+@example(replace(NONIDEAL, delta12=0.0), [-25.0, -12.0, 0.0, 12.0])
+def test_pole_zero_tb_matches_linear_solve(params, detunings):
+    factors = _tb_factors(params)
+    for delta_c in detunings:
+        exact = backward_at(params, params.delta12, delta_c)
+        assert abs(_tb_rational(factors, delta_c) - exact) <= 1e-12
+
+
+@settings(max_examples=100)
+@given(
+    st.builds(
+        SystemParams,
+        g0=st.floats(5.0, 40.0),
+        kappa_i=st.floats(0.5, 10.0),
+        kappa_ex=st.floats(0.5, 40.0),
+        theta=st.floats(-math.pi, math.pi),
+        p=st.floats(-0.95, 0.95),
+        h=st.floats(1.0, 30.0),
+        delta12=st.floats(-60.0, 60.0),
+    )
+)
+def test_dip_is_a_local_minimum_of_linear_solve(params):
+    dip = cavity_dip_detuning(params)
+    step = 1e-4 * max(params.kappa, params.gamma)
+    at_dip = backward_at(params, params.delta12, dip)
+    for neighbour in (dip - step, dip + step):
+        assert at_dip <= backward_at(params, params.delta12, neighbour) * (1.0 + 1e-12)
 
 
 # --- zero-backward-transmission tracing ---
