@@ -16,8 +16,9 @@ The same lemma gives the backward amplitude in pole-zero form,
 t_b(Delta) = i*prod(Delta - z_k)/prod(Delta - p_k), with the poles the
 eigenvalues of i*Gamma - N0 and the zeros those of i*Gamma_b - N0. The
 backward-dip search behind the contour sweeps over (kappa_ex, delta12)
-reads T_b from that product, factored once per node, and reports the
-transmissions of the 4x4 solve at the dip.
+reads T_b from that product, factored once per node, by scipy's bounded
+Brent search run on plain floats, and reports the transmissions of the
+4x4 solve at the dip.
 """
 
 from __future__ import annotations
@@ -144,6 +145,66 @@ def _tb_rational(factors: list[tuple[complex, complex]], delta_c: float) -> floa
     return abs(ratio) ** 2
 
 
+def _bounded_brent(func, lo: float, hi: float, xatol: float) -> tuple[float, float]:
+    """Minimum (x, f) of func on [lo, hi]: scipy's bounded Brent search on plain floats.
+
+    A line-for-line port of minimize_scalar(method="bounded") (Brent 1973,
+    ch. 5) with the same constants, steps and 500-evaluation cap, so it
+    returns scipy's res.x and res.fun bit for bit, without the wrapper's
+    numpy scalars and result object.
+    """
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("Optimization bounds must be finite scalars.")
+    if lo > hi:
+        raise ValueError("The lower bound exceeds the upper bound.")
+    sqrt_eps, golden_mean = math.sqrt(2.2e-16), 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = lo, hi
+    fulc = nfc = xf = a + golden_mean * (b - a)
+    rat = e = 0.0
+    ffulc = fnfc = fx = func(xf)
+    num = 1
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while num < 500 and abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:  # try a parabola through the three best points
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            golden = not (abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf))
+            if not golden:
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 if xm >= xf else -tol1
+        if golden:
+            e = a - xf if xf >= xm else b - xf
+            rat = golden_mean * e
+        # the sign of rat with 0 mapped to +1, as scipy's np.sign(rat) + (rat == 0)
+        x = xf + (1.0 if rat >= 0 else -1.0) * max(abs(rat), tol1)
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            a, b = (xf, b) if x >= xf else (a, xf)
+            fulc, ffulc, nfc, fnfc, xf, fx = nfc, fnfc, xf, fx, x, fu
+        else:
+            a, b = (x, b) if x < xf else (a, x)
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc, nfc, fnfc = nfc, fnfc, x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+    return xf, fx
+
+
 def cavity_dip_detuning(params: SystemParams) -> float:
     """Detuning of the backward-transmission dip used for contour sweeps.
 
@@ -152,7 +213,9 @@ def cavity_dip_detuning(params: SystemParams) -> float:
     relevant branch has negative detuning, matching the sign of the
     ideal-case operating point). T_b is read from the pole-zero form of
     the backward amplitude, factored once per call, so a search step
-    costs a product of four ratios instead of a 4x4 solve. Among the
+    costs a product of four ratios instead of a 4x4 solve, and the search
+    is scipy's bounded Brent method on plain floats (_bounded_brent),
+    which finds the same minimum bit for bit. Among the
     bracketed interior minima the deepest one is returned; ties fall to
     the candidate whose eigenvector has the larger photonic weight.
     Raises NoDipError when every local search escapes its bracket.
@@ -184,15 +247,10 @@ def cavity_dip_detuning(params: SystemParams) -> float:
         if others:
             width = max(width, 0.5 * min(abs(center - o) for o in others))
         lo, hi = center - width, center + width
-        res = minimize_scalar(
-            lambda dc: _tb_rational(factors, dc),
-            bounds=(lo, hi),
-            method="bounded",
-            options={"xatol": 1e-8},
-        )
+        x, tb = _bounded_brent(lambda dc: _tb_rational(factors, dc), lo, hi, 1e-8)
         edge = 1e-3 * width
-        if lo + edge < res.x < hi - edge:
-            results.append((float(res.fun), -weight, abs(float(res.x)), float(res.x)))
+        if lo + edge < x < hi - edge:
+            results.append((tb, -weight, abs(x), x))
     if not results:
         raise NoDipError("no interior backward-transmission minimum found for %r" % (params,))
     results.sort()
@@ -421,20 +479,20 @@ def sweep_grid(
     At each node the operating detuning is set to the backward dip and
     the contrast evaluated there. Node failures are marked NaN. The
     zero-T_b ridge is extracted per kappa_ex column by refining the
-    best node's splitting; refined points below the ridge threshold form
-    the trace polyline.
+    best node's splitting, each step solving the backward system only;
+    refined points below the ridge threshold form the trace polyline.
     """
     kex_axis = checked_axis(kappa_ex_axis, "kappa_ex axis")
     d12_axis = checked_axis(delta12_axis, "delta12 axis")
 
-    def dip_tb(kex: float, d12: float) -> tuple[float, float, float]:
+    def dip_bwd(kex: float, d12: float) -> tuple[SystemParams, float, float]:
         params = replace(params_fixed, kappa_ex=float(kex), delta12=float(d12))
         dc = cavity_dip_detuning(params)
-        return (
-            transmission(params, DriveSpec("backward", dc)),
-            transmission(params, DriveSpec("forward", dc)),
-            dc,
-        )
+        return params, dc, transmission(params, DriveSpec("backward", dc))
+
+    def dip_tb(kex: float, d12: float) -> tuple[float, float, float]:
+        params, dc, tb = dip_bwd(kex, d12)
+        return tb, transmission(params, DriveSpec("forward", dc)), dc
 
     nk, nd = kex_axis.size, d12_axis.size
     delta_c = np.full((nk, nd), math.nan)
@@ -466,7 +524,7 @@ def sweep_grid(
             lo, hi = min(lo, hi), max(lo, hi)
             try:
                 res = minimize_scalar(
-                    lambda d12: dip_tb(kex, d12)[0],
+                    lambda d12: dip_bwd(kex, d12)[2],
                     bounds=(lo, hi),
                     method="bounded",
                     options={"xatol": 1e-6},

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize_scalar
 
+from ringqed import optimize
 from ringqed.analytic import IsolationPoint, isolation_conditions, optimal_coupling
 from ringqed.errors import ContinuationError, ValidationError
 from ringqed.model import DriveSpec, SystemParams, transmission
@@ -14,6 +16,7 @@ from ringqed.optimize import (
     CONTRAST_FLOOR,
     RIDGE_THRESHOLD,
     ZERO_TB_ACCEPT,
+    _bounded_brent,
     _tb_factors,
     _tb_rational,
     _tb_zeros,
@@ -120,6 +123,55 @@ def test_dip_is_a_local_minimum_of_linear_solve(params):
     at_dip = backward_at(params, params.delta12, dip)
     for neighbour in (dip - step, dip + step):
         assert at_dip <= backward_at(params, params.delta12, neighbour) * (1.0 + 1e-12)
+
+
+# --- bounded Brent search ---
+
+
+def tb_objective(params):
+    factors = _tb_factors(params)
+    return lambda x: _tb_rational(factors, x)
+
+
+objectives = st.one_of(
+    st.builds(
+        tb_objective,
+        st.builds(
+            SystemParams,
+            g0=st.floats(0.0, 40.0),
+            kappa_i=st.floats(0.0, 10.0),
+            kappa_ex=st.floats(0.05, 40.0),
+            theta=st.floats(-math.pi, math.pi),
+            p=st.floats(-1.0, 1.0),
+            h=st.floats(0.0, 30.0),
+            delta12=st.floats(-60.0, 60.0),
+        ),
+    ),
+    st.floats(-10.0, 10.0).map(lambda c: lambda x: c),
+    st.floats(-50.0, 50.0).map(lambda c: lambda x: abs(x - c)),
+    st.floats(0.1, 5.0).map(lambda k: lambda x: math.cos(k * x) + 0.01 * x),
+)
+
+
+@settings(max_examples=200)
+@given(
+    objectives,
+    st.floats(-60.0, 60.0),
+    st.floats(0.0, 80.0),
+    st.sampled_from([1e-8, 1e-6]),
+)
+def test_bounded_brent_equals_scipy_bit_for_bit(func, lo, width, xatol):
+    hi = lo + width
+    res = minimize_scalar(func, bounds=(lo, hi), method="bounded", options={"xatol": xatol})
+    assert _bounded_brent(func, lo, hi, xatol) == (res.x, res.fun)
+
+
+@pytest.mark.parametrize("bounds", [(1.0, -1.0), (-math.inf, 1.0), (0.0, math.nan)])
+def test_bounded_brent_rejects_bounds_as_scipy_does(bounds):
+    with pytest.raises(ValueError) as expected:
+        minimize_scalar(abs, bounds=bounds, method="bounded")
+    with pytest.raises(ValueError, match=str(expected.value)):
+        _bounded_brent(abs, *bounds, 1e-8)
 
 
 # --- zero-backward-transmission tracing ---
@@ -307,6 +359,24 @@ def test_sweep_grid_nodes_and_trace():
         assert abs(cdb - contrast_db(tf, tb)) < 1e-9
         assert bool(saturated) == (tb < CONTRAST_FLOOR)
     assert np.array_equal(contour.zero_tb_trace, contour.zero_tb_rows[:, :2])
+
+
+def test_sweep_grid_ridge_steps_solve_backward_only(monkeypatch):
+    # the ridge search reads T_b alone; only each node and each column's
+    # refined point pay for a forward solve
+    calls = {"forward": 0, "backward": 0}
+
+    def counting(params, drive):
+        calls[drive.direction] += 1
+        return transmission(params, drive)
+
+    monkeypatch.setattr(optimize, "transmission", counting)
+    contour = sweep_grid(NONIDEAL, np.linspace(5.5, 15.0, 9), np.linspace(0.0, 40.0, 9))
+    defined = int(np.sum(np.isfinite(contour.t_fwd)))
+    refined = int(np.sum(np.any(np.isfinite(contour.t_fwd), axis=1)))
+    assert refined == 9
+    assert calls["forward"] == defined + refined
+    assert calls["backward"] > calls["forward"]
 
 
 def test_sweep_grid_axis_validation():

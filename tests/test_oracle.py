@@ -176,6 +176,32 @@ def test_cutoff_insensitive_at_weak_drive():
     assert abs(t3 - t2) < 1e-10
 
 
+@settings(max_examples=25)
+@given(
+    st.builds(
+        SystemParams,
+        g0=st.floats(0.0, 30.0),
+        kappa_i=st.floats(0.5, 8.0),
+        kappa_ex=st.floats(0.5, 15.0),
+        theta=st.floats(-math.pi, math.pi),
+        p=st.floats(-1.0, 1.0),
+        h=st.floats(0.0, 25.0),
+        delta12=st.floats(-40.0, 40.0),
+    ),
+    st.sampled_from(["forward", "backward"]),
+    st.floats(-50.0, 50.0),
+)
+def test_drive_limit_extrapolation_matches_linear_model(params, direction, detuning):
+    # the oracle departs from the linear model as drive**2, so Richardson
+    # extrapolation over drives 0.01 and 0.02 removes that term
+    weak, twice = (
+        oracle_transmission(params, TruncationSpec(n_max=2, drive_amp=amp), direction, detuning)
+        for amp in (0.01, 0.02)
+    )
+    linear = transmission(params, DriveSpec(direction, detuning))
+    assert abs((4.0 * weak - twice) / 3.0 - linear) <= 1e-9
+
+
 # --- solver paths ---
 
 oracle_params = st.builds(
