@@ -13,139 +13,23 @@ polariton spectra (:mod:`ringqed.analytic`), an independent
 density-matrix cross-check (:mod:`ringqed.oracle`), design optimization
 on the zero-backward-transmission manifold (:mod:`ringqed.optimize`),
 and a JSON-configured command line (:mod:`ringqed.cli`).
+
+The package namespace holds only the names the README uses without a
+module prefix; everything else is imported from its module.
 """
 
 __version__ = "0.1.0"
 
-from .analytic import (
-    IsolationPoint,
-    damped_eigenvalues,
-    eigenvalue_sweep,
-    ideal_transmission,
-    isolation_conditions,
-    optimal_coupling,
-    polariton_eigenvalues,
-    polariton_modes,
-)
-from .errors import (
-    ConfigError,
-    ConstraintError,
-    ContinuationError,
-    DegenerateFieldError,
-    GridError,
-    NoDipError,
-    NonUniqueSteadyStateError,
-    RingqedError,
-    SingularSystemError,
-    SteadyStateError,
-    TruncationError,
-    ValidationError,
-)
-from .helicity import (
-    FieldGrid,
-    FieldPoint,
-    HelicityMap,
-    counter_propagating,
-    decompose,
-    helicity_degree,
-    load_field_grid,
-    local_basis,
-    map_helicity,
-    save_field_grid,
-    save_helicity_map,
-)
-from .model import (
-    DriveSpec,
-    LinearSystem,
-    SpectrumResult,
-    SystemParams,
-    build_linear_system,
-    coupling_matrix,
-    couplings,
-    decay_matrix,
-    reflection,
-    save_spectrum,
-    spectrum,
-    steady_state,
-    transmission,
-)
-from .optimize import (
-    ContourData,
-    OptimizationResult,
-    cavity_dip_detuning,
-    contrast_db,
-    maximize_contrast,
-    save_contour,
-    save_zero_trace,
-    sweep_grid,
-    trace_zero_tb_line,
-)
-from .oracle import (
-    SteadyDensityMatrix,
-    TruncationSpec,
-    build_liouvillian,
-    oracle_transmission,
-    steady_density_matrix,
-)
+from .analytic import optimal_coupling, polariton_eigenvalues
+from .model import DriveSpec, SystemParams, spectrum
+from .optimize import maximize_contrast
 
 __all__ = [
     "__version__",
-    "ConfigError",
-    "ConstraintError",
-    "ContinuationError",
-    "ContourData",
-    "DegenerateFieldError",
     "DriveSpec",
-    "FieldGrid",
-    "FieldPoint",
-    "GridError",
-    "HelicityMap",
-    "IsolationPoint",
-    "LinearSystem",
-    "NoDipError",
-    "NonUniqueSteadyStateError",
-    "OptimizationResult",
-    "RingqedError",
-    "SingularSystemError",
-    "SpectrumResult",
-    "SteadyDensityMatrix",
-    "SteadyStateError",
     "SystemParams",
-    "TruncationError",
-    "TruncationSpec",
-    "ValidationError",
-    "build_linear_system",
-    "build_liouvillian",
-    "cavity_dip_detuning",
-    "contrast_db",
-    "counter_propagating",
-    "coupling_matrix",
-    "couplings",
-    "damped_eigenvalues",
-    "decay_matrix",
-    "decompose",
-    "eigenvalue_sweep",
-    "helicity_degree",
-    "ideal_transmission",
-    "isolation_conditions",
-    "load_field_grid",
-    "local_basis",
-    "map_helicity",
     "maximize_contrast",
     "optimal_coupling",
-    "oracle_transmission",
     "polariton_eigenvalues",
-    "polariton_modes",
-    "reflection",
-    "save_contour",
-    "save_field_grid",
-    "save_helicity_map",
-    "save_spectrum",
-    "save_zero_trace",
     "spectrum",
-    "steady_density_matrix",
-    "steady_state",
-    "sweep_grid",
-    "trace_zero_tb_line",
-    "transmission",
 ]

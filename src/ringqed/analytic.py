@@ -19,6 +19,7 @@ from scipy.optimize import minimize_scalar
 
 from .errors import ConstraintError, SingularSystemError, ValidationError
 from .model import DriveSpec, SystemParams, coupling_matrix, decay_matrix
+from .tableio import write_table
 
 EIGEN_SWEEP_COLUMNS = ("sweep_var", "lambda1", "lambda2", "lambda3", "lambda4")
 
@@ -210,8 +211,6 @@ def eigenvalue_sweep(params: SystemParams, variable: str, values) -> np.ndarray:
 
 def save_eigenvalue_sweep(path, values, eigenvalues) -> None:
     """Write a sweep table with columns sweep_var, lambda1..lambda4."""
-    from .tableio import write_table
-
     values = np.asarray(values, dtype=float)
     eigenvalues = np.asarray(eigenvalues, dtype=float)
     rows = (

@@ -18,7 +18,7 @@ import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict
+from dataclasses import asdict, astuple, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -29,34 +29,15 @@ from .analytic import eigenvalue_sweep, save_eigenvalue_sweep
 from .errors import ConfigError, RingqedError, TruncationError, ValidationError
 from .helicity import load_field_grid, map_helicity, save_helicity_map
 from .model import DriveSpec, SystemParams, save_spectrum, spectrum, transmission
-from .optimize import maximize_contrast, save_contour, save_zero_trace, sweep_grid
+from .optimize import (
+    OptimizationResult,
+    maximize_contrast,
+    save_contour,
+    save_zero_trace,
+    sweep_grid,
+)
 from .oracle import TruncationSpec, oracle_transmission
 from .tableio import finite, write_json, write_table
-
-COMMANDS = ("spectrum", "eigen", "helicity", "optimize", "sweep", "validate")
-
-PARAM_KEYS = (
-    "g0",
-    "kappa_i",
-    "kappa_ex",
-    "theta",
-    "p",
-    "h",
-    "gamma",
-    "delta12",
-    "drive_amp",
-)
-
-OPTIMIZE_COLUMNS = (
-    "kappa_ex",
-    "delta12",
-    "delta_c",
-    "t_fwd",
-    "t_bwd",
-    "contrast_db",
-    "iterations",
-    "converged",
-)
 
 VALIDATE_COLUMNS = ("delta_c", "direction", "t_linear", "t_oracle", "rel_dev")
 
@@ -119,7 +100,7 @@ def _resolve_params(config: dict, command: str) -> SystemParams:
         raise ConfigError("config must contain a 'params' section")
     if not isinstance(raw, dict):
         raise ConfigError("'params' must be a JSON object")
-    unknown = sorted(set(raw) - set(PARAM_KEYS))
+    unknown = sorted(set(raw) - {f.name for f in fields(SystemParams)})
     if unknown:
         raise ConfigError("unknown parameter key(s): %s" % ", ".join(unknown))
     required = ["g0", "kappa_i"]
@@ -179,7 +160,7 @@ def _parallel_map(fn, items, threads):
         return list(pool.map(fn, items))
 
 
-def _run_spectrum(config, params, out_dir, threads):
+def _run_spectrum(config, params, threads):
     gamma = params.gamma
     block = _block(
         config,
@@ -188,11 +169,10 @@ def _run_spectrum(config, params, out_dir, threads):
     )
     grid = _grid(block, "spectrum")
     result = spectrum(params, grid)
-    resolved = {"command": "spectrum", "params": asdict(params), "spectrum": block}
-    return resolved, {"spectrum.csv": lambda p: save_spectrum(p, result, params)}
+    return block, {"spectrum.csv": lambda p: save_spectrum(p, result, params)}
 
 
-def _run_eigen(config, params, out_dir, threads):
+def _run_eigen(config, params, threads):
     gamma = params.gamma
     block = _block(
         config,
@@ -207,11 +187,10 @@ def _run_eigen(config, params, out_dir, threads):
         block["stop"] = 60.0 * gamma if block["variable"] == "delta12" else 1.0
     values = _grid(block, "eigen")
     eigenvalues = eigenvalue_sweep(params, block["variable"], values)
-    resolved = {"command": "eigen", "params": asdict(params), "eigen": block}
-    return resolved, {"eigen.csv": lambda p: save_eigenvalue_sweep(p, values, eigenvalues)}
+    return block, {"eigen.csv": lambda p: save_eigenvalue_sweep(p, values, eigenvalues)}
 
 
-def _run_helicity(config, params, out_dir, threads):
+def _run_helicity(config, params, threads):
     block = _block(
         config,
         "helicity",
@@ -223,33 +202,20 @@ def _run_helicity(config, params, out_dir, threads):
         block["input"], mode_number=block["mode_number"], label=block["label"]
     )
     hmap = map_helicity(grid)
-    resolved = {"command": "helicity", "helicity": block}
-    if "params" in config:
-        resolved["params"] = config["params"]
-    return resolved, {"helicity.csv": lambda p: save_helicity_map(p, grid, hmap)}
+    return block, {"helicity.csv": lambda p: save_helicity_map(p, grid, hmap)}
 
 
-def _run_optimize(config, params, out_dir, threads):
+def _run_optimize(config, params, threads):
     block = _block(config, "optimize", {"fixed_delta12": None})
     fixed = block["fixed_delta12"]
     if fixed is not None and not finite(fixed):
         raise ConfigError("optimize.fixed_delta12 must be null or a finite number")
     result = maximize_contrast(params, fixed_delta12=fixed)
-    row = (
-        result.kappa_ex,
-        result.delta12,
-        result.delta_c,
-        result.t_fwd,
-        result.t_bwd,
-        result.contrast_db,
-        result.iterations,
-        result.converged,
-    )
-    resolved = {"command": "optimize", "params": asdict(params), "optimize": block}
-    return resolved, {"optimize.csv": lambda p: write_table(p, OPTIMIZE_COLUMNS, [row])}
+    columns = [f.name for f in fields(OptimizationResult)]
+    return block, {"optimize.csv": lambda p: write_table(p, columns, [astuple(result)])}
 
 
-def _run_sweep(config, params, out_dir, threads):
+def _run_sweep(config, params, threads):
     gamma, ki = params.gamma, params.kappa_i
     block = _block(config, "sweep", {"kappa_ex": {}, "delta12": {}})
     kex_axis = _subgrid(
@@ -274,14 +240,13 @@ def _run_sweep(config, params, out_dir, threads):
         },
     }
     contour = sweep_grid(params, kex_axis, d12_axis)
-    resolved = {"command": "sweep", "params": asdict(params), "sweep": block}
-    return resolved, {
+    return block, {
         "sweep.csv": lambda p: save_contour(p, contour),
         "sweep_trace.csv": lambda p: save_zero_trace(p, contour),
     }
 
 
-def _run_validate(config, params, out_dir, threads):
+def _run_validate(config, params, threads):
     gamma = params.gamma
     block = _block(
         config,
@@ -318,17 +283,18 @@ def _run_validate(config, params, out_dir, threads):
         return (dc, direction, t_lin, t_orc, rel)
 
     rows = _parallel_map(work, tasks, threads)
-    resolved = {"command": "validate", "params": asdict(params), "validate": block}
-    return resolved, {"validate.csv": lambda p: write_table(p, VALIDATE_COLUMNS, rows)}
+    return block, {"validate.csv": lambda p: write_table(p, VALIDATE_COLUMNS, rows)}
 
 
-_RUNNERS = {
-    "spectrum": _run_spectrum,
-    "eigen": _run_eigen,
-    "helicity": _run_helicity,
-    "optimize": _run_optimize,
-    "sweep": _run_sweep,
-    "validate": _run_validate,
+# command -> (help, runner); a runner returns its resolved config section
+# and the writers of its data files, keyed by file name
+COMMANDS = {
+    "spectrum": ("transmission and reflection spectra in both directions", _run_spectrum),
+    "eigen": ("polariton eigenvalue sweep over delta12 or p", _run_eigen),
+    "helicity": ("helicity-degree map from a sampled mode field", _run_helicity),
+    "optimize": ("maximize isolation contrast at zero backward transmission", _run_optimize),
+    "sweep": ("contrast contour over (kappa_ex, delta12) with zero trace", _run_sweep),
+    "validate": ("cross-check the linear pipeline against the truncated model", _run_validate),
 }
 
 
@@ -357,16 +323,8 @@ def main(argv=None) -> int:
         "--version", action="version", version="%(prog)s " + __version__
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-    helps = {
-        "spectrum": "transmission and reflection spectra in both directions",
-        "eigen": "polariton eigenvalue sweep over delta12 or p",
-        "helicity": "helicity-degree map from a sampled mode field",
-        "optimize": "maximize isolation contrast at zero backward transmission",
-        "sweep": "contrast contour over (kappa_ex, delta12) with zero trace",
-        "validate": "cross-check the linear pipeline against the truncated model",
-    }
-    for name in COMMANDS:
-        cp = sub.add_parser(name, help=helps[name])
+    for name, (help_text, _) in COMMANDS.items():
+        cp = sub.add_parser(name, help=help_text)
         cp.add_argument("config", help="JSON configuration file")
         cp.add_argument(
             "--set",
@@ -399,9 +357,17 @@ def main(argv=None) -> int:
         else:
             params = _resolve_params(config, command)
         started = time.perf_counter()
-        resolved, writers = _RUNNERS[command](config, params, out_dir, args.threads)
+        _, runner = COMMANDS[command]
+        block, writers = runner(config, params, args.threads)
         for filename, writer in writers.items():
             writer(out_dir / filename)
+        if params is None:
+            # helicity needs no parameters, but keeps any the config gave
+            resolved = {"command": command, command: block}
+            if "params" in config:
+                resolved["params"] = config["params"]
+        else:
+            resolved = {"command": command, "params": asdict(params), command: block}
         resolved["_meta"] = {
             "version": __version__,
             "command": command,

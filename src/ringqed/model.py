@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularSystemError, ValidationError
-from .tableio import checked_axis, finite, write_json, write_table
+from .tableio import checked_axis, finite, write_table
 
 DIRECTIONS = ("forward", "backward")
 
@@ -61,17 +61,9 @@ class SystemParams:
     drive_amp: float = 1.0
 
     def __post_init__(self):
-        for name in (
-            "g0",
-            "kappa_i",
-            "kappa_ex",
-            "theta",
-            "p",
-            "h",
-            "gamma",
-            "delta12",
-            "drive_amp",
-        ):
+        # __dataclass_fields__, not fields(self): a design pass builds ~1e4 of
+        # these, and fields() costs a few microseconds per construction
+        for name in self.__dataclass_fields__:
             if not finite(getattr(self, name)):
                 raise ValidationError("%s must be a finite real number" % name)
         for name in ("g0", "kappa_i", "kappa_ex", "h"):
@@ -245,9 +237,13 @@ def _singular(params: SystemParams, detuning: float) -> SingularSystemError:
     return SingularSystemError("singular steady state at detuning %g for %r" % (detuning, params))
 
 
-def _transmitted(params: SystemParams, own):
-    """|i + 2*kappa_ex*own/E_p|**2, own the amplitude of the driven mode."""
-    return abs(1j + (2.0 * params.kappa_ex / params.drive_amp) * own) ** 2
+def _transmitted(params: SystemParams, drive_amp: float, own):
+    """|i + 2*kappa_ex*own/E_p|**2, own the amplitude of the driven mode.
+
+    E_p is drive_amp, the amplitude own was computed at: params.drive_amp
+    for the linear model, the truncation's amplitude for the oracle.
+    """
+    return abs(1j + (2.0 * params.kappa_ex / drive_amp) * own) ** 2
 
 
 def _reflected(params: SystemParams, other):
@@ -269,7 +265,7 @@ def transmission(params: SystemParams, drive: DriveSpec) -> float:
     The intracavity amplitude <o> is <a> for forward drive and <b> for
     backward drive.
     """
-    return _transmitted(params, _driven_and_other(params, drive)[0])
+    return _transmitted(params, params.drive_amp, _driven_and_other(params, drive)[0])
 
 
 def reflection(params: SystemParams, drive: DriveSpec) -> float:
@@ -301,24 +297,14 @@ def spectrum(params: SystemParams, detunings) -> SpectrumResult:
         raise _singular(params, grid[exc.index // 2]) from exc
     return SpectrumResult(
         detunings=grid,
-        t_fwd=_transmitted(params, x[:, 0, 0]),
-        t_bwd=_transmitted(params, x[:, 1, 1]),
+        t_fwd=_transmitted(params, params.drive_amp, x[:, 0, 0]),
+        t_bwd=_transmitted(params, params.drive_amp, x[:, 1, 1]),
         r_fwd=_reflected(params, x[:, 0, 1]),
         r_bwd=_reflected(params, x[:, 1, 0]),
     )
 
 
-def save_spectrum(path, result: SpectrumResult, params: SystemParams, sidecar=None):
-    """Write a spectrum table plus a metadata sidecar.
-
-    The sidecar (same basename with a .meta.json suffix) records the full
-    parameter set by default; callers may pass a richer mapping instead.
-    """
-    from dataclasses import asdict
-    from pathlib import Path
-
-    path = Path(path)
+def save_spectrum(path, result: SpectrumResult, params: SystemParams):
+    """Write a spectrum table with columns delta_c, t_fwd, t_bwd, r_fwd, r_bwd."""
     rows = zip(result.detunings, result.t_fwd, result.t_bwd, result.r_fwd, result.r_bwd)
     write_table(path, SPECTRUM_COLUMNS, rows)
-    payload = sidecar if sidecar is not None else {"params": asdict(params)}
-    write_json(path.with_suffix(".meta.json"), payload)

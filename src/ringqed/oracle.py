@@ -34,7 +34,7 @@ from .errors import (
     TruncationError,
     ValidationError,
 )
-from .model import DriveSpec, SystemParams, couplings
+from .model import DriveSpec, SystemParams, _transmitted, couplings
 from .tableio import finite
 
 MAX_N_MAX = 4
@@ -322,4 +322,4 @@ def oracle_transmission(
     rho = steady_density_matrix(lio)
     a, b, _, _ = _mode_operators(trunc.n_max + 1)
     amp = rho.expectation(a if drive.forward else b)
-    return abs(1j + 2.0 * params.kappa_ex * amp / trunc.drive_amp) ** 2
+    return _transmitted(params, trunc.drive_amp, amp)

@@ -89,17 +89,14 @@ def write_json(path, payload) -> None:
     )
 
 
-def read_json(path):
-    return json.loads(Path(path).read_text(encoding="utf-8"))
-
-
 def finite(value) -> bool:
     """True for real numbers that are neither NaN nor infinite.
 
     Strings are not numbers here, even when they parse as one, so a
-    validator that passes a value on to arithmetic never sees one.
+    validator that passes a value on to arithmetic never sees one. Nor
+    are booleans, so a JSON true never runs as 1.
     """
-    if isinstance(value, (str, bytes)):
+    if isinstance(value, (str, bytes, bool)):
         return False
     try:
         return math.isfinite(float(value))

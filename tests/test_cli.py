@@ -86,17 +86,58 @@ def test_set_overrides_take_precedence(tmp_path):
     assert len(read_lines(out / "spectrum.csv")) == 1 + 5
 
 
-def test_sidecar_reproduces_outputs_byte_for_byte(tmp_path):
-    params = {**NONIDEAL_PARAMS, "delta12": 30.0}
-    config = write_config(tmp_path / "c.json", {"params": params})
+# a small config section per command, so every replay runs in well under a second
+REPLAY_SECTIONS = {
+    "spectrum": {"n": 101},
+    "eigen": {"n": 11},
+    "helicity": {"mode_number": 12},
+    "optimize": {"fixed_delta12": 30.0},
+    "sweep": {
+        "kappa_ex": {"start": 7.0, "stop": 8.0, "n": 3},
+        "delta12": {"start": 20.0, "stop": 30.0, "n": 3},
+    },
+    "validate": {"n_max": 1, "n": 2, "directions": ["forward"]},
+}
+
+
+def sample_field_grid():
+    """A 3x3 field of constant elliptical polarization, helicity 0.96."""
+    shape = (3, 3)
+    return FieldGrid(
+        rho=np.array([1.0, 1.2, 1.4]),
+        z=np.array([-0.2, 0.0, 0.2]),
+        e_rho=np.full(shape, 0.8, dtype=complex),
+        e_phi=np.full(shape, 0.6j, dtype=complex),
+        e_z=np.zeros(shape, dtype=complex),
+        mode_number=12,
+    )
+
+
+@pytest.mark.parametrize("command", list(REPLAY_SECTIONS))
+def test_sidecar_reproduces_outputs_byte_for_byte(tmp_path, command):
+    section = dict(REPLAY_SECTIONS[command])
+    payload = {"params": {**NONIDEAL_PARAMS, "delta12": 30.0}, command: section}
+    if command == "helicity":
+        save_field_grid(tmp_path / "field.csv", sample_field_grid())
+        section["input"] = str(tmp_path / "field.csv")
+    config = write_config(tmp_path / "c.json", payload)
     first = tmp_path / "first"
-    assert run("spectrum", config, first, "--set", "spectrum.n=101") == 0
+    assert run(command, config, first) == 0
+
+    sidecar = first / ("%s.meta.json" % command)
+    meta = json.loads(sidecar.read_text(encoding="utf-8"))
+    if command == "helicity":
+        # helicity resolves no parameters and keeps the given ones last
+        assert list(meta) == ["command", "helicity", "params", "_meta"]
+    else:
+        assert list(meta) == ["command", "params", command, "_meta"]
 
     second = tmp_path / "second"
-    assert run("spectrum", str(first / "spectrum.meta.json"), second) == 0
-    assert (second / "spectrum.csv").read_bytes() == (
-        first / "spectrum.csv"
-    ).read_bytes()
+    assert run(command, str(sidecar), second) == 0
+    outputs = meta["_meta"]["outputs"]
+    assert outputs
+    for name in outputs:
+        assert (second / name).read_bytes() == (first / name).read_bytes()
 
 
 # --- eigen ---
@@ -133,19 +174,8 @@ def test_eigen_rejects_unknown_variable(tmp_path):
 
 
 def test_helicity_round_trip(tmp_path):
-    rho = np.array([1.0, 1.2, 1.4])
-    z = np.array([-0.2, 0.0, 0.2])
-    shape = (3, 3)
-    grid = FieldGrid(
-        rho=rho,
-        z=z,
-        e_rho=np.full(shape, 0.8, dtype=complex),
-        e_phi=np.full(shape, 0.6j, dtype=complex),
-        e_z=np.zeros(shape, dtype=complex),
-        mode_number=12,
-    )
     field_path = tmp_path / "field.csv"
-    save_field_grid(field_path, grid)
+    save_field_grid(field_path, sample_field_grid())
     before = field_path.read_bytes()
 
     payload = {"helicity": {"input": str(field_path), "mode_number": 12}}
@@ -334,12 +364,14 @@ def test_malformed_json_reports_position(tmp_path):
         (command, "params", key, value)
         for command in ("sweep", "optimize")
         for key in ("kappa_i", "gamma")
-        for value in ("x", None)
+        for value in ("x", None, True)
     ]
     + [
         ("helicity", "helicity", "mode_number", None),
         ("helicity", "helicity", "mode_number", "x"),
+        ("helicity", "helicity", "mode_number", True),
         ("validate", "validate", "n_max", None),
+        ("validate", "validate", "n_max", True),
         ("validate", "validate", "drive_amp", "x"),
     ],
 )

@@ -278,8 +278,6 @@ def test_save_spectrum_writes_table_and_sidecar(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "delta_c,t_fwd,t_bwd,r_fwd,r_bwd"
     assert len(lines) == 4
-    meta = (tmp_path / "s.meta.json").read_text()
-    assert '"g0": 20.0' in meta
 
 
 # --- invariants over random parameters ---

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -7,7 +8,6 @@ from ringqed.errors import GridError
 from ringqed.tableio import (
     finite,
     format_value,
-    read_json,
     read_table,
     write_json,
     write_table,
@@ -77,7 +77,7 @@ def test_json_round_trip(tmp_path):
     payload = {"a": [1, 2.5], "b": {"c": "x"}}
     path = tmp_path / "t.json"
     write_json(path, payload)
-    assert read_json(path) == payload
+    assert json.loads(path.read_text(encoding="utf-8")) == payload
     assert path.read_text().endswith("\n")
 
 
@@ -88,5 +88,6 @@ def test_finite():
     assert not finite(math.inf)
     assert finite(np.float64(-2.0))
     assert not finite("x")
+    assert not finite(True)
     assert not finite("1.5")
     assert not finite(None)
