@@ -169,7 +169,7 @@ def _run_spectrum(config, params, threads):
     )
     grid = _grid(block, "spectrum")
     result = spectrum(params, grid)
-    return block, {"spectrum.csv": lambda p: save_spectrum(p, result, params)}
+    return block, {"spectrum.csv": lambda p: save_spectrum(p, result)}
 
 
 def _run_eigen(config, params, threads):

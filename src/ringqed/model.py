@@ -177,8 +177,12 @@ def decay_matrix(params: SystemParams) -> np.ndarray:
 
 def _dynamics(params: SystemParams, detuning) -> np.ndarray:
     """A = -i N - Gamma; detuning is a float, or an array (n, 1, 1) for a stack."""
-    n = coupling_matrix(params) + detuning * _IDENTITY
-    return -1j * n - decay_matrix(params)
+    return _system_matrix(coupling_matrix(params), decay_matrix(params), detuning)
+
+
+def _system_matrix(n0: np.ndarray, decay: np.ndarray, detuning) -> np.ndarray:
+    """A = -i (N0 + detuning) - Gamma over broadcast stacks; detunings (..., 1, 1)."""
+    return -1j * (n0 + detuning * _IDENTITY) - decay
 
 
 def build_linear_system(params: SystemParams, drive: DriveSpec) -> LinearSystem:
@@ -304,7 +308,7 @@ def spectrum(params: SystemParams, detunings) -> SpectrumResult:
     )
 
 
-def save_spectrum(path, result: SpectrumResult, params: SystemParams):
+def save_spectrum(path, result: SpectrumResult):
     """Write a spectrum table with columns delta_c, t_fwd, t_bwd, r_fwd, r_bwd."""
     rows = zip(result.detunings, result.t_fwd, result.t_bwd, result.r_fwd, result.r_bwd)
     write_table(path, SPECTRUM_COLUMNS, rows)

@@ -18,7 +18,12 @@ eigenvalues of i*Gamma - N0 and the zeros those of i*Gamma_b - N0. The
 backward-dip search behind the contour sweeps over (kappa_ex, delta12)
 reads T_b from that product, factored once per node, by scipy's bounded
 Brent search run on plain floats, and reports the transmissions of the
-4x4 solve at the dip.
+4x4 solve at the dip. A sweep runs that search for all its grid nodes at
+once: one stacked eigvals for every node's poles and zeros, one lockstep
+array Brent search over every candidate bracket, and one stacked 4x4
+solve per direction, each node's numbers equal to the scalar search's
+bit for bit. Its ridge refinement stays a scalar bounded search per
+column, each step one scalar dip search.
 """
 
 from __future__ import annotations
@@ -32,7 +37,19 @@ from scipy.optimize import minimize, minimize_scalar
 
 from .analytic import IsolationPoint, polariton_modes
 from .errors import ContinuationError, NoDipError, SingularSystemError, ValidationError
-from .model import DriveSpec, SystemParams, coupling_matrix, decay_matrix, transmission
+from .model import (
+    _IDENTITY,
+    DriveSpec,
+    LinearSystem,
+    SystemParams,
+    _SystemFailure,
+    _system_matrix,
+    _transmitted,
+    coupling_matrix,
+    decay_matrix,
+    steady_state,
+    transmission,
+)
 from .tableio import checked_axis, write_table
 
 # T_b values below this are clamped for dB reporting and flagged saturated.
@@ -123,17 +140,29 @@ def _backward_decay(params: SystemParams) -> np.ndarray:
     return gamma_b
 
 
+def _tb_poles_zeros(n0: np.ndarray, decays: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Poles and zeros of t_b, the eigenvalues of i*Gamma - N0 and i*Gamma_b - N0.
+
+    decays stacks (Gamma, Gamma_b) on its third-to-last axis and
+    broadcasts against n0, so one stacked eigvals serves any number of
+    nodes; the values of each node are those of its own call bit for bit.
+    """
+    values = np.linalg.eigvals(1j * decays - n0[..., None, :, :])
+    return values[..., 0, :], values[..., 1, :]
+
+
+def _decays(params: SystemParams) -> np.ndarray:
+    """Gamma and Gamma_b stacked, as _tb_poles_zeros takes them."""
+    return np.stack([decay_matrix(params), _backward_decay(params)])
+
+
 def _tb_factors(params: SystemParams) -> list[tuple[complex, complex]]:
     """Zero-pole pairs (z_k, p_k) of t_b(Delta) = i*prod (Delta - z_k)/(Delta - p_k).
 
-    The poles are the eigenvalues of i*Gamma - N0 (damped_eigenvalues) and
-    the zeros those of i*Gamma_b - N0, one stacked eigvals for both. The
-    pairing is arbitrary: only the whole product is meaningful.
+    The pairing is arbitrary: only the whole product is meaningful.
     """
-    n0 = coupling_matrix(params)
-    decay = np.stack([decay_matrix(params), _backward_decay(params)])
-    poles, zeros = np.linalg.eigvals(1j * decay - n0).tolist()
-    return list(zip(zeros, poles))
+    poles, zeros = _tb_poles_zeros(coupling_matrix(params), _decays(params))
+    return list(zip(zeros.tolist(), poles.tolist()))
 
 
 def _tb_rational(factors: list[tuple[complex, complex]], delta_c: float) -> float:
@@ -143,6 +172,30 @@ def _tb_rational(factors: list[tuple[complex, complex]], delta_c: float) -> floa
     for zero, pole in factors:
         ratio *= (delta_c - zero) / (delta_c - pole)
     return abs(ratio) ** 2
+
+
+def _tb_rational_array(zeros: np.ndarray, poles: np.ndarray, delta_c: np.ndarray) -> np.ndarray:
+    """_tb_rational per row of zeros and poles (n, 4) at delta_c (n,), bit for bit.
+
+    CPython's complex arithmetic is repeated in real operations: the
+    quotient divides through by the larger part of the denominator, as
+    _Py_c_quot does and numpy's complex division does not, the product is
+    _Py_c_prod's, abs is hypot, and the square is Python's pow, which
+    differs from numpy's x*x in the last bit.
+    """
+    re, im = np.ones_like(delta_c), np.zeros_like(delta_c)
+    for k in range(zeros.shape[1]):
+        num_re, num_im = delta_c - zeros[:, k].real, 0.0 - zeros[:, k].imag
+        den_re, den_im = delta_c - poles[:, k].real, 0.0 - poles[:, k].imag
+        by_re = np.abs(den_re) >= np.abs(den_im)
+        # each branch is kept only where its divisor is the larger part
+        with np.errstate(all="ignore"):
+            ratio = np.where(by_re, den_im / den_re, den_re / den_im)
+        denom = np.where(by_re, den_re + den_im * ratio, den_re * ratio + den_im)
+        q_re = np.where(by_re, num_re + num_im * ratio, num_re * ratio + num_im) / denom
+        q_im = np.where(by_re, num_im - num_re * ratio, num_im * ratio - num_re) / denom
+        re, im = re * q_re - im * q_im, re * q_im + im * q_re
+    return np.array([v**2 for v in np.hypot(re, im).tolist()])
 
 
 def _bounded_brent(func, lo: float, hi: float, xatol: float) -> tuple[float, float]:
@@ -205,29 +258,81 @@ def _bounded_brent(func, lo: float, hi: float, xatol: float) -> tuple[float, flo
     return xf, fx
 
 
-def cavity_dip_detuning(params: SystemParams) -> float:
-    """Detuning of the backward-transmission dip used for contour sweeps.
+def _bounded_brent_array(func, lo, hi, xatol: float) -> tuple[np.ndarray, np.ndarray]:
+    """_bounded_brent over arrays of brackets [lo, hi], in lockstep.
 
-    Dips sit at the polariton eigen-detunings, so each non-positive
-    eigenvalue seeds a bounded one-dimensional minimization of T_b (the
-    relevant branch has negative detuning, matching the sign of the
-    ideal-case operating point). T_b is read from the pole-zero form of
-    the backward amplitude, factored once per call, so a search step
-    costs a product of four ratios instead of a 4x4 solve, and the search
-    is scipy's bounded Brent method on plain floats (_bounded_brent),
-    which finds the same minimum bit for bit. Among the
-    bracketed interior minima the deepest one is returned; ties fall to
-    the candidate whose eigenvector has the larger photonic weight.
-    Raises NoDipError when every local search escapes its bracket.
+    func(x, idx) returns the objective of element idx[k] at x[k]. Every
+    element takes the scalar driver's steps under its own stopping test,
+    so it returns the same (x, f) bit for bit; an element that has stopped
+    is no longer evaluated.
     """
-    values, vectors = polariton_modes(params)
+    sqrt_eps, golden_mean = math.sqrt(2.2e-16), 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    xf = a + golden_mean * (b - a)
+    live = np.arange(a.size)
+    fx = func(xf, live)
+    zero = np.zeros_like(a)
+    # one row per variable of _bounded_brent, one column per element
+    state = np.stack([a, b, xf, fx, xf, fx, xf, fx, zero, zero, zero + 1.0])
+    while live.size:
+        a, b, xf, fx, nfc, fnfc, fulc, ffulc, rat, e, num = state[:, live]
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        running = (num < 500) & (np.abs(xf - xm) > tol2 - 0.5 * (b - a))
+        if not running.all():
+            live = live[running]
+            continue
+        # parabola through the three best points, where abs(e) > tol1
+        r = (xf - nfc) * (fx - ffulc)
+        q = (xf - fulc) * (fx - fnfc)
+        p = (xf - fulc) * q - (xf - nfc) * r
+        q = 2.0 * (q - r)
+        p = np.where(q > 0.0, -p, p)
+        q = np.abs(q)
+        parabola = np.abs(e) > tol1
+        parabola &= (np.abs(p) < np.abs(0.5 * q * e)) & (q * (a - xf) < p) & (p < q * (b - xf))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = (p + 0.0) / q
+        x = xf + step
+        near_end = (x - a < tol2) | (b - x < tol2)
+        step = np.where(near_end, np.where(xm >= xf, tol1, -tol1), step)
+        # otherwise a golden-section step into the larger part of the bracket
+        e = np.where(parabola, rat, np.where(xf >= xm, a - xf, b - xf))
+        rat = np.where(parabola, step, golden_mean * e)
+        size = np.abs(rat)
+        x = xf + np.where(rat >= 0, 1.0, -1.0) * np.where(tol1 > size, tol1, size)
+        fu = func(x, live)
+        lower = fu <= fx
+        a, b = (
+            np.where(lower, np.where(x >= xf, xf, a), np.where(x < xf, x, a)),
+            np.where(lower, np.where(x >= xf, b, xf), np.where(x < xf, b, x)),
+        )
+        second = ~lower & ((fu <= fnfc) | (nfc == xf))
+        third = ~lower & ~second & ((fu <= ffulc) | (fulc == xf) | (fulc == nfc))
+        shift = lower | second
+        fulc = np.where(shift, nfc, np.where(third, x, fulc))
+        ffulc = np.where(shift, fnfc, np.where(third, fu, ffulc))
+        nfc = np.where(lower, xf, np.where(second, x, nfc))
+        fnfc = np.where(lower, fx, np.where(second, fu, fnfc))
+        xf, fx = np.where(lower, x, xf), np.where(lower, fu, fx)
+        state[:, live] = a, b, xf, fx, nfc, fnfc, fulc, ffulc, rat, e, num + 1.0
+    return state[2], state[3]
+
+
+def _dip_runs(values: np.ndarray, vectors: np.ndarray) -> tuple[list, list[tuple[float, float]]]:
+    """Centers of the runs of degenerate polariton eigenvalues, and the candidates.
+
+    values and vectors are polariton_modes' output. Each run reports its
+    mean eigenvalue and mean photonic weight; the candidates are the
+    (center, weight) of the runs at non-positive detuning.
+    """
     values = values.tolist()
     weights = np.sum(abs(vectors[:2]) ** 2, axis=0).tolist()
     # the values ascend, so an end holds the largest magnitude
     tol = 1e-9 * max(1.0, abs(values[0]), abs(values[-1]))
 
-    # runs of degenerate eigenvalues as [value sum, weight sum, count];
-    # each run reports its mean eigenvalue and mean photonic weight
+    # runs as [value sum, weight sum, count]
     runs: list[list] = []
     for idx in range(4):
         if runs and values[idx] - values[idx - 1] <= tol:
@@ -237,24 +342,61 @@ def cavity_dip_detuning(params: SystemParams) -> float:
         else:
             runs.append([values[idx], weights[idx], 1])
     centers = [total / count for total, _, count in runs]
-    candidates = [(c, w / count) for c, (_, w, count) in zip(centers, runs) if c <= tol]
+    return centers, [(c, w / count) for c, (_, w, count) in zip(centers, runs) if c <= tol]
 
-    factors = _tb_factors(params)
-    results = []
+
+def _dip_brackets(runs, kappa: float, gamma: float) -> list[tuple[float, float, float, float]]:
+    """(weight, width, lo, hi) of the search bracket around each candidate of runs."""
+    centers, candidates = runs
+    brackets = []
     for center, weight in candidates:
-        width = max(params.kappa, params.gamma)
+        width = max(kappa, gamma)
         others = [c for c in centers if c != center]
         if others:
             width = max(width, 0.5 * min(abs(center - o) for o in others))
-        lo, hi = center - width, center + width
-        x, tb = _bounded_brent(lambda dc: _tb_rational(factors, dc), lo, hi, 1e-8)
+        brackets.append((weight, width, center - width, center + width))
+    return brackets
+
+
+def _pick_dip(brackets, minima) -> float | None:
+    """The deepest interior minimum, or None; minima holds (x, T_b) per bracket.
+
+    A minimum within 1e-3 widths of its bracket's ends escaped it. Ties
+    fall to the candidate of larger photonic weight, then smaller |x|.
+    """
+    results = []
+    for (weight, width, lo, hi), (x, tb) in zip(brackets, minima):
         edge = 1e-3 * width
         if lo + edge < x < hi - edge:
             results.append((tb, -weight, abs(x), x))
-    if not results:
+    return min(results)[3] if results else None
+
+
+def cavity_dip_detuning(params: SystemParams) -> float:
+    """Detuning of the backward-transmission dip used for contour sweeps.
+
+    Dips sit at the polariton eigen-detunings, so each non-positive
+    eigenvalue seeds a bounded one-dimensional minimization of T_b (the
+    relevant branch has negative detuning, matching the sign of the
+    ideal-case operating point). T_b is read from the pole-zero form of
+    the backward amplitude, factored once per call, so a search step costs
+    a product of four ratios instead of a 4x4 solve, and the search is
+    scipy's bounded Brent method on plain floats (_bounded_brent), which
+    finds the same minimum bit for bit. Among the bracketed interior
+    minima the deepest one is returned; ties fall to the candidate whose
+    eigenvector has the larger photonic weight. Raises NoDipError when
+    every local search escapes its bracket.
+    """
+    brackets = _dip_brackets(_dip_runs(*polariton_modes(params)), params.kappa, params.gamma)
+    factors = _tb_factors(params)
+    minima = [
+        _bounded_brent(lambda dc: _tb_rational(factors, dc), lo, hi, 1e-8)
+        for _, _, lo, hi in brackets
+    ]
+    dip = _pick_dip(brackets, minima)
+    if dip is None:
         raise NoDipError("no interior backward-transmission minimum found for %r" % (params,))
-    results.sort()
-    return results[0][3]
+    return dip
 
 
 def _minimize_tb(params, seed):
@@ -471,16 +613,78 @@ def maximize_contrast(
     )
 
 
+def _grid_dips(kex_params, d12_params, n0: np.ndarray, decays: np.ndarray) -> np.ndarray:
+    """cavity_dip_detuning at every node of a grid, NaN where it finds no dip.
+
+    kex_params and d12_params hold the hardware at each kappa_ex and each
+    delta12 of the axes, n0 their N0 per delta12 and decays their _decays
+    per kappa_ex. N0 does not depend on kappa_ex, so the polariton modes
+    are taken once per delta12; the poles and zeros of every node are one
+    stacked eigvals, and one lockstep Brent search runs over every
+    candidate bracket. Each node finds cavity_dip_detuning's dip bit for
+    bit.
+    """
+    runs = [_dip_runs(*polariton_modes(p)) for p in d12_params]
+    poles, zeros = _tb_poles_zeros(n0, decays[:, None])
+
+    brackets = [[_dip_brackets(r, p.kappa, p.gamma) for r in runs] for p in kex_params]
+    # one row (i, j, lo, hi) per candidate bracket, node by node
+    rows = [
+        (i, j, lo, hi)
+        for i, row in enumerate(brackets)
+        for j, node in enumerate(row)
+        for _, _, lo, hi in node
+    ]
+    ii, jj, lo, hi = np.array(rows).reshape(-1, 4).T
+    ii, jj = ii.astype(int), jj.astype(int)
+    zeros, poles = zeros[ii, jj], poles[ii, jj]
+    x, tb = _bounded_brent_array(
+        lambda dc, k: _tb_rational_array(zeros[k], poles[k], dc), lo, hi, 1e-8
+    )
+
+    dips = np.full((len(kex_params), len(d12_params)), math.nan)
+    minima = iter(zip(x.tolist(), tb.tolist()))
+    for i, row in enumerate(brackets):
+        for j, node in enumerate(row):
+            dip = _pick_dip(node, [next(minima) for _ in node])
+            if dip is not None:
+                dips[i, j] = dip
+    return dips
+
+
+def _driven_amplitudes(matrices: np.ndarray, port: int, drive_amp: float) -> np.ndarray:
+    """Amplitude of the driven mode of each system, driven at port; NaN where its gate fails.
+
+    The stack is one steady_state solve; a system that fails the gate is
+    dropped and the rest solved again.
+    """
+    own = np.full(len(matrices), math.nan, dtype=complex)
+    live = np.arange(len(matrices))
+    while live.size:
+        system = LinearSystem(matrices[live], np.tile(_IDENTITY[port], (live.size, 1)))
+        try:
+            own[live] = steady_state(system, drive_amp)[:, port]
+        except _SystemFailure as exc:
+            live = np.delete(live, exc.index)
+        else:
+            break
+    return own
+
+
 def sweep_grid(
     params_fixed: SystemParams, kappa_ex_axis, delta12_axis
 ) -> ContourData:
     """Contrast and transmissions over a (kappa_ex, delta12) grid.
 
     At each node the operating detuning is set to the backward dip and
-    the contrast evaluated there. Node failures are marked NaN. The
-    zero-T_b ridge is extracted per kappa_ex column by refining the
-    best node's splitting, each step solving the backward system only;
-    refined points below the ridge threshold form the trace polyline.
+    the contrast evaluated there. The nodes are one batched pass
+    (_grid_dips) followed by one stacked 4x4 solve per direction at the
+    dips, and give the values of cavity_dip_detuning and transmission
+    node by node, bit for bit. A node without a dip, or whose solve fails
+    its gate, is marked NaN. The zero-T_b ridge is extracted per kappa_ex
+    column by a scalar bounded search over the best node's splitting,
+    each step a cavity_dip_detuning and a backward solve; refined points
+    below the ridge threshold form the trace polyline.
     """
     kex_axis = checked_axis(kappa_ex_axis, "kappa_ex axis")
     d12_axis = checked_axis(delta12_axis, "delta12 axis")
@@ -494,20 +698,29 @@ def sweep_grid(
         params, dc, tb = dip_bwd(kex, d12)
         return tb, transmission(params, DriveSpec("forward", dc)), dc
 
+    kex_params = [replace(params_fixed, kappa_ex=float(k)) for k in kex_axis]
+    d12_params = [replace(params_fixed, delta12=float(d)) for d in d12_axis]
+    n0 = np.stack([coupling_matrix(p) for p in d12_params])
+    decays = np.stack([_decays(p) for p in kex_params])
+    dips = _grid_dips(kex_params, d12_params, n0, decays)
+    ii, jj = np.nonzero(np.isfinite(dips))
+    matrices = _system_matrix(n0[jj], decays[ii, 0], dips[ii, jj][:, None, None])
+    amp = params_fixed.drive_amp
+    own_bwd, own_fwd = (_driven_amplitudes(matrices, port, amp) for port in (1, 0))
+    ok = np.isfinite(own_bwd) & np.isfinite(own_fwd)
+
     nk, nd = kex_axis.size, d12_axis.size
     delta_c = np.full((nk, nd), math.nan)
     t_fwd = np.full((nk, nd), math.nan)
     t_bwd = np.full((nk, nd), math.nan)
     contrast = np.full((nk, nd), math.nan)
     saturated = np.zeros((nk, nd), dtype=bool)
-    for i, kex in enumerate(kex_axis):
-        for j, d12 in enumerate(d12_axis):
-            try:
-                t_bwd[i, j], t_fwd[i, j], delta_c[i, j] = dip_tb(kex, d12)
-            except (NoDipError, SingularSystemError):
-                continue
-            contrast[i, j] = contrast_db(t_fwd[i, j], t_bwd[i, j])
-            saturated[i, j] = t_bwd[i, j] < CONTRAST_FLOOR
+    for i, j, bwd, fwd in zip(ii[ok].tolist(), jj[ok].tolist(), own_bwd[ok], own_fwd[ok]):
+        t_bwd[i, j] = _transmitted(kex_params[i], amp, bwd)
+        t_fwd[i, j] = _transmitted(kex_params[i], amp, fwd)
+        delta_c[i, j] = dips[i, j]
+        contrast[i, j] = contrast_db(t_fwd[i, j], t_bwd[i, j])
+        saturated[i, j] = t_bwd[i, j] < CONTRAST_FLOOR
 
     trace_rows = []
     for i, kex in enumerate(kex_axis):

@@ -271,10 +271,10 @@ def test_spectrum_accepts_descending_grid():
     assert np.allclose(up.t_fwd, down.t_fwd[::-1])
 
 
-def test_save_spectrum_writes_table_and_sidecar(tmp_path):
+def test_save_spectrum_writes_table(tmp_path):
     result = spectrum(IDEAL, np.linspace(-5, 5, 3))
     path = tmp_path / "s.csv"
-    save_spectrum(path, result, IDEAL)
+    save_spectrum(path, result)
     lines = path.read_text().splitlines()
     assert lines[0] == "delta_c,t_fwd,t_bwd,r_fwd,r_bwd"
     assert len(lines) == 4

@@ -7,18 +7,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
-from ringqed import optimize
+from ringqed import model, optimize
 from ringqed.analytic import IsolationPoint, isolation_conditions, optimal_coupling
-from ringqed.errors import ContinuationError, ValidationError
-from ringqed.model import DriveSpec, SystemParams, transmission
+from ringqed.errors import ContinuationError, NoDipError, SingularSystemError, ValidationError
+from ringqed.model import DriveSpec, SystemParams, steady_state, transmission
 from ringqed.optimize import (
     CONTOUR_COLUMNS,
     CONTRAST_FLOOR,
     RIDGE_THRESHOLD,
     ZERO_TB_ACCEPT,
     _bounded_brent,
+    _bounded_brent_array,
     _tb_factors,
     _tb_rational,
+    _tb_rational_array,
     _tb_zeros,
     cavity_dip_detuning,
     contrast_db,
@@ -102,6 +104,13 @@ def test_pole_zero_tb_matches_linear_solve(params, detunings):
     for delta_c in detunings:
         exact = backward_at(params, params.delta12, delta_c)
         assert abs(_tb_rational(factors, delta_c) - exact) <= 1e-12
+    # the array form repeats the scalar one bit for bit; numpy's x*x in
+    # place of Python's pow misses about one square in a thousand, so the
+    # comparison runs over a dense grid as well
+    detunings = detunings + np.linspace(-80.0, 80.0, 501).tolist()
+    zeros, poles = (np.tile([pair[k] for pair in factors], (len(detunings), 1)) for k in (0, 1))
+    stacked = _tb_rational_array(zeros, poles, np.array(detunings))
+    assert stacked.tolist() == [_tb_rational(factors, delta_c) for delta_c in detunings]
 
 
 @settings(max_examples=100)
@@ -172,6 +181,80 @@ def test_bounded_brent_rejects_bounds_as_scipy_does(bounds):
         minimize_scalar(abs, bounds=bounds, method="bounded")
     with pytest.raises(ValueError, match=str(expected.value)):
         _bounded_brent(abs, *bounds, 1e-8)
+
+
+# elementwise shapes built from operations that Python floats and numpy
+# arrays round the same way, so both drivers see identical values
+SHAPES = (
+    lambda x, c, d: abs(x - c),
+    lambda x, c, d: (x - c) * (x - c) * (x - d),
+    lambda x, c, d: abs(abs(x - c) - d),
+    lambda x, c, d: c + 0.0 * x,
+)
+
+brent_elements = st.lists(
+    st.tuples(
+        st.one_of(st.sampled_from(range(len(SHAPES))), st.none()),
+        st.floats(-50.0, 50.0),
+        st.floats(0.0, 20.0),
+        st.floats(-60.0, 60.0),
+        # zero and tiny widths stop at once, wide ones run for dozens of steps
+        st.one_of(st.sampled_from([0.0, 1e-9]), st.floats(0.0, 80.0)),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+@settings(max_examples=150)
+@given(
+    brent_elements,
+    st.lists(
+        st.builds(
+            SystemParams,
+            g0=st.floats(0.0, 40.0),
+            kappa_i=st.floats(0.0, 10.0),
+            kappa_ex=st.floats(0.05, 40.0),
+            theta=st.floats(-math.pi, math.pi),
+            p=st.floats(-1.0, 1.0),
+            h=st.floats(0.0, 30.0),
+            delta12=st.floats(-60.0, 60.0),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+    st.sampled_from([1e-8, 1e-6, 1e-3]),
+)
+def test_lockstep_brent_equals_scalar_bit_for_bit(elements, hardware_list, xatol):
+    # an element without a shape minimizes the pole-zero T_b of one hardware
+    factors = [_tb_factors(params) for params in hardware_list]
+    zeros = np.array([[z for z, _ in f] for f in factors])
+    poles = np.array([[q for _, q in f] for f in factors])
+    shape = [-1 if e[0] is None else e[0] for e in elements]
+    c, d, lo, width = (np.array([e[k] for e in elements]) for k in (1, 2, 3, 4))
+    which = np.arange(len(elements)) % len(factors)
+
+    def scalar(k):
+        if shape[k] < 0:
+            return lambda x: _tb_rational(factors[which[k]], x)
+        return lambda x: SHAPES[shape[k]](x, float(c[k]), float(d[k]))
+
+    def stacked(x, idx):
+        out = np.empty_like(x)
+        kinds = np.array(shape)[idx]
+        for kind in set(kinds.tolist()):
+            mine = kinds == kind
+            k = idx[mine]
+            if kind < 0:
+                out[mine] = _tb_rational_array(zeros[which[k]], poles[which[k]], x[mine])
+            else:
+                out[mine] = SHAPES[kind](x[mine], c[k], d[k])
+        return out
+
+    hi = lo + width
+    x, f = _bounded_brent_array(stacked, lo, hi, xatol)
+    for k in range(len(elements)):
+        assert (x[k], f[k]) == _bounded_brent(scalar(k), float(lo[k]), float(hi[k]), xatol)
 
 
 # --- zero-backward-transmission tracing ---
@@ -362,21 +445,100 @@ def test_sweep_grid_nodes_and_trace():
 
 
 def test_sweep_grid_ridge_steps_solve_backward_only(monkeypatch):
-    # the ridge search reads T_b alone; only each node and each column's
-    # refined point pay for a forward solve
-    calls = {"forward": 0, "backward": 0}
+    # the nodes are one stacked solve per direction; then each ridge step
+    # solves one backward system, and each refined column one forward system
+    calls = []
 
-    def counting(params, drive):
-        calls[drive.direction] += 1
-        return transmission(params, drive)
+    def counting(system, drive_amp):
+        drives = system.drive.reshape(-1, 4)
+        calls.append(("forward" if drives[0, 0] else "backward", len(drives)))
+        return steady_state(system, drive_amp)
 
-    monkeypatch.setattr(optimize, "transmission", counting)
+    monkeypatch.setattr(model, "steady_state", counting)
+    monkeypatch.setattr(optimize, "steady_state", counting)
     contour = sweep_grid(NONIDEAL, np.linspace(5.5, 15.0, 9), np.linspace(0.0, 40.0, 9))
     defined = int(np.sum(np.isfinite(contour.t_fwd)))
     refined = int(np.sum(np.any(np.isfinite(contour.t_fwd), axis=1)))
     assert refined == 9
-    assert calls["forward"] == defined + refined
-    assert calls["backward"] > calls["forward"]
+    assert calls[:2] == [("backward", defined), ("forward", defined)]
+    ridge = calls[2:]
+    assert all(n == 1 for _, n in ridge)
+    assert sum(d == "forward" for d, _ in ridge) == refined
+    assert sum(d == "backward" for d, _ in ridge) > 2 * refined
+
+
+def node_reference(params):
+    """cavity_dip_detuning and both solves at one node, as sweep_grid reports them."""
+    try:
+        dc = cavity_dip_detuning(params)
+        tb = transmission(params, DriveSpec("backward", dc))
+        tf = transmission(params, DriveSpec("forward", dc))
+    except (NoDipError, SingularSystemError):
+        return [math.nan] * 4 + [False]
+    return [dc, tf, tb, contrast_db(tf, tb), tb < CONTRAST_FLOOR]
+
+
+def node_values(contour, i, j):
+    names = ("delta_c", "t_fwd", "t_bwd", "contrast_db", "saturated")
+    return [getattr(contour, name)[i, j].item() for name in names]
+
+
+def same(got, expected):
+    """Equal under ==, with NaN matching NaN."""
+    return all(a == b or (math.isnan(a) and math.isnan(b)) for a, b in zip(got, expected))
+
+
+def axis(lo, hi, n):
+    return st.lists(st.floats(lo, hi), min_size=n, max_size=n, unique=True).map(sorted)
+
+
+@settings(max_examples=40)
+@given(
+    st.builds(
+        SystemParams,
+        g0=st.floats(0.0, 40.0),
+        kappa_i=st.floats(0.0, 10.0),
+        kappa_ex=st.just(1.0),
+        theta=st.floats(-math.pi, math.pi),
+        p=st.one_of(st.sampled_from([-1.0, 1.0]), st.floats(-1.0, 1.0)),
+        h=st.one_of(st.just(0.0), st.floats(0.0, 30.0)),
+        drive_amp=st.floats(0.1, 10.0),
+    ),
+    axis(0.05, 40.0, 3),
+    axis(-60.0, 60.0, 4),
+)
+# no emitter
+@example(SystemParams(g0=0.0, kappa_i=5.0, kappa_ex=6.0), [5.5, 7.0, 9.0], [0.0, 10.0, 20.0, 30.0])
+# decoupled directions, where the polariton pairs merge at zero splitting
+@example(SystemParams(g0=20.0, kappa_i=5.0, kappa_ex=6.0), [5.5, 6.0, 9.0], [0.0, 14.0, 28.2, 40.0])
+@example(SystemParams(g0=20.0, kappa_i=5.0, kappa_ex=6.0, p=-1.0), [9.0, 6.0], [-28.2, 0.0, 14.0])
+def test_sweep_grid_nodes_equal_scalar_dip_and_solves(params, kex_axis, d12_axis):
+    contour = sweep_grid(params, kex_axis, d12_axis)
+    for i, kex in enumerate(kex_axis):
+        for j, d12 in enumerate(d12_axis):
+            expected = node_reference(replace(params, kappa_ex=kex, delta12=d12))
+            assert same(node_values(contour, i, j), expected), (kex, d12)
+
+
+def test_sweep_grid_gate_failure_blanks_one_node(monkeypatch):
+    kex_axis, d12_axis = np.array([7.0, 8.0, 9.0]), np.array([0.0, 15.0, 25.0, 35.0])
+    clean = sweep_grid(NONIDEAL, kex_axis, d12_axis)
+    assert np.all(np.isfinite(clean.t_fwd))
+    build = optimize._system_matrix
+
+    def broken(n0, decay, detuning):
+        # the stacked node systems, row-major: system 6 is node (1, 2)
+        a = build(n0, decay, detuning)
+        if a.ndim == 3:
+            a[6] = 0.0
+        return a
+
+    monkeypatch.setattr(optimize, "_system_matrix", broken)
+    contour = sweep_grid(NONIDEAL, kex_axis, d12_axis)
+    for i in range(3):
+        for j in range(4):
+            expected = [math.nan] * 4 + [False] if (i, j) == (1, 2) else node_values(clean, i, j)
+            assert same(node_values(contour, i, j), expected)
 
 
 def test_sweep_grid_axis_validation():
