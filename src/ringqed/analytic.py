@@ -18,7 +18,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .errors import ConstraintError, SingularSystemError, ValidationError
-from .model import DriveSpec, SystemParams, coupling_matrix, decay_matrix
+from .model import DriveSpec, SystemParams, coupling_matrix
 from .tableio import write_table
 
 EIGEN_SWEEP_COLUMNS = ("sweep_var", "lambda1", "lambda2", "lambda3", "lambda4")
@@ -177,19 +177,6 @@ def polariton_modes(params: SystemParams) -> tuple[np.ndarray, np.ndarray]:
     n0 = coupling_matrix(params, detuning=0.0)
     values, vectors = np.linalg.eigh(-n0)
     return values, vectors
-
-
-def damped_eigenvalues(params: SystemParams) -> np.ndarray:
-    """Complex detunings at which the driven response has poles.
-
-    Diagnostic variant including the decay matrix: the real part gives
-    the resonance position on the detuning axis and the imaginary part
-    the half-linewidth. Sorted by real part.
-    """
-    n0 = coupling_matrix(params, detuning=0.0)
-    gamma = decay_matrix(params)
-    values = np.linalg.eigvals(-n0 + 1j * gamma)
-    return values[np.argsort(values.real)]
 
 
 def eigenvalue_sweep(params: SystemParams, variable: str, values) -> np.ndarray:

@@ -320,6 +320,20 @@ def save_field_grid(path, grid: FieldGrid) -> None:
     write_table(path, FIELD_GRID_COLUMNS, zip(*_field_columns(grid)))
 
 
+def _check_steps(path: Path, axis: np.ndarray, stride: int, repeated: str, reversed_: str):
+    """GridError unless axis is strictly monotone; value k is on file line k*stride + 2.
+
+    The first repeated value is reported before the first step against the
+    direction of the first step; each message is formatted with the value.
+    """
+    steps = np.diff(axis)
+    against = np.sign(steps) != np.sign(steps[:1])
+    for bad, message in ((steps == 0, repeated), (against, reversed_)):
+        if bad.any():
+            k = int(np.argmax(bad)) + 1
+            raise GridError("%s: line %d: %s" % (path, k * stride + 2, message % axis[k]))
+
+
 def load_field_grid(source, mode_number: int = 1, label: str = "quasi-TE") -> FieldGrid:
     """Read a row-major rectilinear field grid from a delimited file.
 
@@ -336,59 +350,33 @@ def load_field_grid(source, mode_number: int = 1, label: str = "quasi-TE") -> Fi
     if n == 0:
         raise GridError("%s: no data rows" % path)
 
-    # infer the z axis from the leading block of constant rho
-    nz = 1
-    while nz < n and rho_col[nz] == rho_col[0]:
-        nz += 1
+    # the z axis is the leading block of constant rho; row k is file line k + 2
+    changes = np.flatnonzero(rho_col[1:] != rho_col[0])
+    nz = int(changes[0]) + 1 if changes.size else n
     z_axis = z_col[:nz]
-    for k in range(1, nz):
-        if z_axis[k] == z_axis[k - 1]:
-            raise GridError(
-                "%s: line %d: duplicated grid point (rho=%g, z=%g)"
-                % (path, k + 2, rho_col[k], z_col[k])
-            )
-    steps = np.diff(z_axis)
-    if nz >= 2 and not (np.all(steps > 0) or np.all(steps < 0)):
-        raise GridError("%s: z axis is not strictly monotone in the first block" % path)
-    if n % nz != 0:
-        raise GridError(
-            "%s: %d rows is not a multiple of the inferred z-axis length %d"
-            % (path, n, nz)
-        )
-    nr = n // nz
-    for b in range(nr):
-        base = b * nz
-        for k in range(nz):
-            idx = base + k
-            line = idx + 2
-            if rho_col[idx] != rho_col[base]:
-                raise GridError(
-                    "%s: line %d: rho changes mid-block; rows must be row-major"
-                    % (path, line)
-                )
-            if z_col[idx] != z_axis[k]:
-                if idx > 0 and z_col[idx] == z_col[idx - 1] and rho_col[idx] == rho_col[idx - 1]:
-                    raise GridError(
-                        "%s: line %d: duplicated grid point (rho=%g, z=%g)"
-                        % (path, line, rho_col[idx], z_col[idx])
-                    )
-                raise GridError(
-                    "%s: line %d: z=%g does not match the grid axis value %g"
-                    % (path, line, z_col[idx], z_axis[k])
-                )
+    _check_steps(path, z_axis, 1, "duplicated grid point (rho=%g, z=%%g)" % rho_col[0],
+                 "z axis is not strictly monotone in the first block at z=%g")
+
+    # row-major: each row repeats its block's rho and the z axis value at its offset
     rho_axis = rho_col[::nz]
-    for b in range(1, nr):
-        if rho_axis[b] == rho_axis[b - 1]:
-            raise GridError(
-                "%s: line %d: duplicated rho block (rho=%g)"
-                % (path, b * nz + 2, rho_axis[b])
-            )
-    steps = np.diff(rho_axis)
-    if nr >= 2 and not (np.all(steps > 0) or np.all(steps < 0)):
-        raise GridError("%s: rho axis is not strictly monotone" % path)
+    layout = (rho_col == np.repeat(rho_axis, nz)[:n]) & (z_col == np.resize(z_axis, n))
+    if not layout.all():
+        k = int(np.argmin(layout))
+        if rho_col[k] != rho_col[k - k % nz]:
+            problem = "rho changes mid-block; rows must be row-major"
+        elif k and z_col[k] == z_col[k - 1] and rho_col[k] == rho_col[k - 1]:
+            problem = "duplicated grid point (rho=%g, z=%g)" % (rho_col[k], z_col[k])
+        else:
+            problem = "z=%g does not match the grid axis value %g" % (z_col[k], z_axis[k % nz])
+        raise GridError("%s: line %d: %s" % (path, k + 2, problem))
+    if n % nz != 0:
+        raise GridError("%s: line %d: the last rho block ends after %d of %d rows"
+                        % (path, n + 1, n % nz, nz))
+    _check_steps(path, rho_axis, nz, "duplicated rho block (rho=%g)",
+                 "rho axis is not strictly monotone at rho=%g")
 
     def component(prefix: str) -> np.ndarray:
-        return (data[prefix + "_re"] + 1j * data[prefix + "_im"]).reshape(nr, nz)
+        return (data[prefix + "_re"] + 1j * data[prefix + "_im"]).reshape(-1, nz)
 
     return FieldGrid(
         rho=rho_axis,

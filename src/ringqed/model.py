@@ -9,7 +9,9 @@ excited states breaks the forward/backward symmetry. At weak probe power
 the emitter lowering operators behave like bosonic modes and the steady
 state in the frame rotating at the probe frequency reduces to a 4x4
 complex linear solve over the amplitudes (<a>, <b>, <sigma1>, <sigma2>).
-Transmission and reflection follow from input-output relations.
+The response is linear in the probe, so the model works per unit probe
+amplitude: amplitudes are those of a unit drive, and transmission and
+reflection follow from input-output relations without a probe amplitude.
 
 All rates are expressed in units of the emitter decay rate ``gamma``.
 """
@@ -37,6 +39,9 @@ _IDENTITY = np.eye(4, dtype=complex)
 class SystemParams:
     """Physical rates and couplings of the resonator-emitter system.
 
+    The model is linear in the probe, so no probe amplitude appears: every
+    amplitude it computes is per unit probe amplitude.
+
     g0        coupling magnitude between one cavity mode and one transition
     kappa_i   intrinsic cavity loss rate
     kappa_ex  waveguide-cavity coupling rate
@@ -46,8 +51,6 @@ class SystemParams:
               its phase is absorbed into theta)
     gamma     emitter decay rate, the unit of every other rate
     delta12   splitting between the two excited states
-    drive_amp probe amplitude, magnitude in [1e-100, 1e100] (transmission
-              is independent of it)
     """
 
     g0: float
@@ -58,7 +61,6 @@ class SystemParams:
     h: float = 0.0
     gamma: float = 1.0
     delta12: float = 0.0
-    drive_amp: float = 1.0
 
     def __post_init__(self):
         # __dataclass_fields__, not fields(self): a design pass builds ~1e4 of
@@ -75,10 +77,6 @@ class SystemParams:
             raise ValidationError("p must lie in [-1, 1]")
         if self.kappa <= 0:
             raise ValidationError("kappa_ex + kappa_i must be > 0")
-        # beyond these magnitudes the squared norms in the residual gate of
-        # steady_state overflow or underflow, which would void the gate
-        if not 1e-100 <= abs(self.drive_amp) <= 1e100:
-            raise ValidationError("drive_amp must be nonzero, with magnitude in [1e-100, 1e100]")
 
     @property
     def kappa(self) -> float:
@@ -201,8 +199,8 @@ class _SystemFailure(SingularSystemError):
         self.index = int(np.argmax(failed))
 
 
-def steady_state(system: LinearSystem, drive_amp: float) -> np.ndarray:
-    """Steady-state amplitudes x solving A x = i * drive_amp * u.
+def steady_state(system: LinearSystem) -> np.ndarray:
+    """Steady-state amplitudes x per unit probe amplitude, solving A x = i u.
 
     Setting dx/dt = A x - i E_p u to zero gives A x = i E_p u. The system
     is one matrix (4, 4) with drive (4,), or a stack (n, 4, 4) with drives
@@ -210,7 +208,7 @@ def steady_state(system: LinearSystem, drive_amp: float) -> np.ndarray:
     1e-10 * ||A|| * ||x||, and the first system that fails raises.
     """
     a = system.matrix.reshape(-1, 4, 4)
-    rhs = (1j * drive_amp) * system.drive.reshape(-1, 4, 1)
+    rhs = 1j * system.drive.reshape(-1, 4, 1)
     try:
         x = np.linalg.solve(a, rhs)
     except np.linalg.LinAlgError as exc:
@@ -241,23 +239,19 @@ def _singular(params: SystemParams, detuning: float) -> SingularSystemError:
     return SingularSystemError("singular steady state at detuning %g for %r" % (detuning, params))
 
 
-def _transmitted(params: SystemParams, drive_amp: float, own):
-    """|i + 2*kappa_ex*own/E_p|**2, own the amplitude of the driven mode.
-
-    E_p is drive_amp, the amplitude own was computed at: params.drive_amp
-    for the linear model, the truncation's amplitude for the oracle.
-    """
-    return abs(1j + (2.0 * params.kappa_ex / drive_amp) * own) ** 2
+def _transmitted(params: SystemParams, own):
+    """|i + 2*kappa_ex*own|**2, own the driven mode's amplitude per unit probe amplitude."""
+    return abs(1j + 2.0 * params.kappa_ex * own) ** 2
 
 
 def _reflected(params: SystemParams, other):
-    """|2*kappa_ex*other/E_p|**2, other the amplitude of the other mode."""
-    return abs((2.0 * params.kappa_ex / params.drive_amp) * other) ** 2
+    """|2*kappa_ex*other|**2, other the other mode's amplitude per unit probe amplitude."""
+    return abs(2.0 * params.kappa_ex * other) ** 2
 
 
 def _driven_and_other(params: SystemParams, drive: DriveSpec):
     try:
-        x = steady_state(build_linear_system(params, drive), params.drive_amp)
+        x = steady_state(build_linear_system(params, drive))
     except SingularSystemError as exc:
         raise _singular(params, drive.detuning) from exc
     return (x[0], x[1]) if drive.forward else (x[1], x[0])
@@ -269,7 +263,7 @@ def transmission(params: SystemParams, drive: DriveSpec) -> float:
     The intracavity amplitude <o> is <a> for forward drive and <b> for
     backward drive.
     """
-    return _transmitted(params, params.drive_amp, _driven_and_other(params, drive)[0])
+    return _transmitted(params, _driven_and_other(params, drive)[0])
 
 
 def reflection(params: SystemParams, drive: DriveSpec) -> float:
@@ -296,13 +290,13 @@ def spectrum(params: SystemParams, detunings) -> SpectrumResult:
         drive=np.tile(_IDENTITY[:2], (grid.size, 1)),
     )
     try:
-        x = steady_state(system, params.drive_amp).reshape(grid.size, 2, 4)
+        x = steady_state(system).reshape(grid.size, 2, 4)
     except _SystemFailure as exc:
         raise _singular(params, grid[exc.index // 2]) from exc
     return SpectrumResult(
         detunings=grid,
-        t_fwd=_transmitted(params, params.drive_amp, x[:, 0, 0]),
-        t_bwd=_transmitted(params, params.drive_amp, x[:, 1, 1]),
+        t_fwd=_transmitted(params, x[:, 0, 0]),
+        t_bwd=_transmitted(params, x[:, 1, 1]),
         r_fwd=_reflected(params, x[:, 0, 1]),
         r_bwd=_reflected(params, x[:, 1, 0]),
     )

@@ -101,10 +101,10 @@ class OptimizationResult:
 class ContourData:
     """Contrast and transmission over a (kappa_ex, delta12) grid.
 
-    delta_c holds the per-node backward-dip detuning. zero_tb_trace is a
-    polyline of (kappa_ex, delta12) points where the refined backward
-    minimum falls below the ridge threshold; zero_tb_rows carries the
-    full export rows for those points.
+    delta_c holds the per-node backward-dip detuning. zero_tb_rows holds
+    the export rows, in the contour schema, of the points where the
+    refined backward minimum of a kappa_ex column falls below the ridge
+    threshold; its first two columns are the (kappa_ex, delta12) trace.
     """
 
     kappa_ex: np.ndarray
@@ -114,7 +114,6 @@ class ContourData:
     t_bwd: np.ndarray
     contrast_db: np.ndarray
     saturated: np.ndarray
-    zero_tb_trace: np.ndarray
     zero_tb_rows: np.ndarray
 
 
@@ -652,7 +651,7 @@ def _grid_dips(kex_params, d12_params, n0: np.ndarray, decays: np.ndarray) -> np
     return dips
 
 
-def _driven_amplitudes(matrices: np.ndarray, port: int, drive_amp: float) -> np.ndarray:
+def _driven_amplitudes(matrices: np.ndarray, port: int) -> np.ndarray:
     """Amplitude of the driven mode of each system, driven at port; NaN where its gate fails.
 
     The stack is one steady_state solve; a system that fails the gate is
@@ -663,7 +662,7 @@ def _driven_amplitudes(matrices: np.ndarray, port: int, drive_amp: float) -> np.
     while live.size:
         system = LinearSystem(matrices[live], np.tile(_IDENTITY[port], (live.size, 1)))
         try:
-            own[live] = steady_state(system, drive_amp)[:, port]
+            own[live] = steady_state(system)[:, port]
         except _SystemFailure as exc:
             live = np.delete(live, exc.index)
         else:
@@ -683,20 +682,21 @@ def sweep_grid(
     node by node, bit for bit. A node without a dip, or whose solve fails
     its gate, is marked NaN. The zero-T_b ridge is extracted per kappa_ex
     column by a scalar bounded search over the best node's splitting,
-    each step a cavity_dip_detuning and a backward solve; refined points
-    below the ridge threshold form the trace polyline.
+    each step a cavity_dip_detuning and a backward solve; the search
+    returns a splitting it evaluated, so a refined point costs one more
+    forward solve. Refined points below the ridge threshold form the trace.
     """
     kex_axis = checked_axis(kappa_ex_axis, "kappa_ex axis")
     d12_axis = checked_axis(delta12_axis, "delta12 axis")
 
-    def dip_bwd(kex: float, d12: float) -> tuple[SystemParams, float, float]:
+    # (kappa_ex, delta12) -> (params, dip, T_b) of every ridge step
+    seen: dict[tuple[float, float], tuple[SystemParams, float, float]] = {}
+
+    def dip_bwd(kex: float, d12: float) -> float:
         params = replace(params_fixed, kappa_ex=float(kex), delta12=float(d12))
         dc = cavity_dip_detuning(params)
-        return params, dc, transmission(params, DriveSpec("backward", dc))
-
-    def dip_tb(kex: float, d12: float) -> tuple[float, float, float]:
-        params, dc, tb = dip_bwd(kex, d12)
-        return tb, transmission(params, DriveSpec("forward", dc)), dc
+        seen[float(kex), float(d12)] = params, dc, transmission(params, DriveSpec("backward", dc))
+        return seen[float(kex), float(d12)][2]
 
     kex_params = [replace(params_fixed, kappa_ex=float(k)) for k in kex_axis]
     d12_params = [replace(params_fixed, delta12=float(d)) for d in d12_axis]
@@ -705,8 +705,7 @@ def sweep_grid(
     dips = _grid_dips(kex_params, d12_params, n0, decays)
     ii, jj = np.nonzero(np.isfinite(dips))
     matrices = _system_matrix(n0[jj], decays[ii, 0], dips[ii, jj][:, None, None])
-    amp = params_fixed.drive_amp
-    own_bwd, own_fwd = (_driven_amplitudes(matrices, port, amp) for port in (1, 0))
+    own_bwd, own_fwd = (_driven_amplitudes(matrices, port) for port in (1, 0))
     ok = np.isfinite(own_bwd) & np.isfinite(own_fwd)
 
     nk, nd = kex_axis.size, d12_axis.size
@@ -716,8 +715,8 @@ def sweep_grid(
     contrast = np.full((nk, nd), math.nan)
     saturated = np.zeros((nk, nd), dtype=bool)
     for i, j, bwd, fwd in zip(ii[ok].tolist(), jj[ok].tolist(), own_bwd[ok], own_fwd[ok]):
-        t_bwd[i, j] = _transmitted(kex_params[i], amp, bwd)
-        t_fwd[i, j] = _transmitted(kex_params[i], amp, fwd)
+        t_bwd[i, j] = _transmitted(kex_params[i], bwd)
+        t_fwd[i, j] = _transmitted(kex_params[i], fwd)
         delta_c[i, j] = dips[i, j]
         contrast[i, j] = contrast_db(t_fwd[i, j], t_bwd[i, j])
         saturated[i, j] = t_bwd[i, j] < CONTRAST_FLOOR
@@ -730,14 +729,14 @@ def sweep_grid(
         j_best = int(np.nanargmin(row))
         if nd == 1:
             d12_star = float(d12_axis[0])
-            tb_star, tf_star, dc_star = dip_tb(kex, d12_star)
+            dip_bwd(kex, d12_star)
         else:
             lo = float(d12_axis[max(0, j_best - 1)])
             hi = float(d12_axis[min(nd - 1, j_best + 1)])
             lo, hi = min(lo, hi), max(lo, hi)
             try:
                 res = minimize_scalar(
-                    lambda d12: dip_bwd(kex, d12)[2],
+                    lambda d12: dip_bwd(kex, d12),
                     bounds=(lo, hi),
                     method="bounded",
                     options={"xatol": 1e-6},
@@ -745,7 +744,8 @@ def sweep_grid(
             except (NoDipError, SingularSystemError):
                 continue
             d12_star = float(res.x)
-            tb_star, tf_star, dc_star = dip_tb(kex, d12_star)
+        params, dc_star, tb_star = seen[float(kex), d12_star]
+        tf_star = transmission(params, DriveSpec("forward", dc_star))
         if tb_star < RIDGE_THRESHOLD:
             row = (float(kex), d12_star, dc_star, tf_star, tb_star)
             trace_rows.append((*row, contrast_db(tf_star, tb_star), tb_star < CONTRAST_FLOOR))
@@ -759,7 +759,6 @@ def sweep_grid(
         t_bwd=t_bwd,
         contrast_db=contrast,
         saturated=saturated,
-        zero_tb_trace=trace_rows[:, :2],
         zero_tb_rows=trace_rows,
     )
 

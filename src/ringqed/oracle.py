@@ -313,7 +313,8 @@ def oracle_transmission(
     """Transmission from the full-master-equation steady state.
 
     Uses the same input-output formula as the linearized model with the
-    intracavity amplitude taken as Tr(o rho_ss).
+    intracavity amplitude per unit probe amplitude taken as
+    Tr(o rho_ss) / drive_amp.
     """
     if trunc.drive_amp == 0:
         raise ValidationError("oracle transmission requires a nonzero drive_amp")
@@ -322,4 +323,4 @@ def oracle_transmission(
     rho = steady_density_matrix(lio)
     a, b, _, _ = _mode_operators(trunc.n_max + 1)
     amp = rho.expectation(a if drive.forward else b)
-    return _transmitted(params, trunc.drive_amp, amp)
+    return _transmitted(params, amp / trunc.drive_amp)

@@ -6,7 +6,6 @@ import pytest
 
 from ringqed.analytic import (
     eigenvalue_sweep,
-    damped_eigenvalues,
     ideal_transmission,
     isolation_conditions,
     optimal_coupling,
@@ -174,12 +173,6 @@ def test_polariton_modes_weights():
     weights = np.sum(np.abs(vectors[:2, :]) ** 2, axis=0)
     assert np.all((weights >= 0) & (weights <= 1 + 1e-12))
     assert np.sum(weights) == pytest.approx(2.0, abs=1e-9)  # two photonic modes
-
-
-def test_damped_eigenvalues_trace():
-    params = SystemParams(g0=20.0, kappa_i=3.0, kappa_ex=5.0, h=20.0, p=0.8)
-    vals = damped_eigenvalues(params)
-    assert np.sum(vals) == pytest.approx(1j * (2 * 8.0 + 1.0), abs=1e-9)
 
 
 # --- sweeps ---

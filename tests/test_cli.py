@@ -340,6 +340,20 @@ def test_unknown_section_and_keys_exit_2(tmp_path):
     assert run("spectrum", config, out) == 2
 
 
+def test_params_drive_amp_is_an_unknown_key(tmp_path):
+    # the linear model works per unit probe amplitude, so an older sidecar
+    # carrying params.drive_amp is refused until the key is deleted
+    config = write_config(
+        tmp_path / "c.json", {"params": {**IDEAL_PARAMS, "drive_amp": 1.0}}
+    )
+    out = tmp_path / "out"
+    assert run("spectrum", config, out) == 2
+    error = json.loads((out / "error.json").read_text(encoding="utf-8"))
+    assert error["exit_code"] == 2
+    assert "drive_amp" in error["message"]
+    assert not (out / "spectrum.csv").exists()
+
+
 def test_declared_command_must_match(tmp_path):
     config = write_config(
         tmp_path / "c.json", {"command": "eigen", "params": IDEAL_PARAMS}

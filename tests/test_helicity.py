@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ringqed.errors import DegenerateFieldError, GridError, ValidationError
 from ringqed.helicity import (
@@ -252,6 +254,94 @@ def test_load_field_grid_missing_column(tmp_path):
     with pytest.raises(GridError) as err:
         load_field_grid(path)
     assert "e_rho_im" in str(err.value)
+
+
+@st.composite
+def row_major_grids(draw, min_size=1):
+    """A FieldGrid of random shape whose axes each ascend or descend."""
+
+    def axis(lo, hi):
+        n = draw(st.integers(min_size, 5))
+        values = np.sort(draw(st.lists(st.floats(lo, hi), min_size=n, max_size=n, unique=True)))
+        return values[::-1] if draw(st.booleans()) else values
+
+    rho, z = axis(0.0, 10.0), axis(-5.0, 5.0)
+    parts = draw(st.lists(st.floats(-2.0, 2.0), min_size=6 * rho.size * z.size,
+                          max_size=6 * rho.size * z.size))
+    re, im = np.reshape(parts, (2, 3, rho.size, z.size))
+    e_rho, e_phi, e_z = re + 1j * im
+    return FieldGrid(rho=rho, z=z, e_rho=e_rho, e_phi=e_phi, e_z=e_z, mode_number=1)
+
+
+grid_files = settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@grid_files
+@given(row_major_grids())
+def test_load_field_grid_round_trips_random_grids(tmp_path, grid):
+    path = tmp_path / "f.csv"
+    save_field_grid(path, grid)
+    back = load_field_grid(path)
+    for name in ("rho", "z", "e_rho", "e_phi", "e_z"):
+        assert np.array_equal(getattr(back, name), getattr(grid, name))
+
+
+def corrupted_rows(data, nr, nz):
+    """A one-row or one-block corruption of an nr x nz grid file: (rows, line).
+
+    rows turns the data lines into the corrupted ones; line is the file
+    line (header = 1, row k = k + 2) the loader must name.
+    """
+    n = nr * nz
+    kind = data.draw(st.sampled_from(["duplicate", "swap", "rho", "block", "truncate"]))
+    if kind == "duplicate":
+        # the copy is the first row that repeats a grid point
+        r = data.draw(st.integers(0, n - 1))
+        return lambda rows: rows[: r + 1] + rows[r:], r + 3
+    if kind == "swap":
+        # row r is the first moved row; two swapped block starts look like a
+        # valid block start, and row 0 or a block start moved into the first
+        # block changes the inferred z axis, so neither is drawn
+        r = data.draw(st.integers(1, n - 2))
+        s = data.draw(st.integers(r + 1, n - 1).filter(
+            lambda s: s % nz or (r % nz and r >= nz)))
+
+        def swap(rows):
+            rows = list(rows)
+            rows[r], rows[s] = rows[s], rows[r]
+            return rows
+
+        # inside the first block, z stops being monotone one row later
+        return swap, r + 3 if s < nz else r + 2
+    if kind == "rho":
+        r = data.draw(st.integers(1, n - 1).filter(lambda r: r % nz))
+        offset = data.draw(st.floats(1e-3, 1.0))
+
+        def shift(rows):
+            cells = rows[r].split(",")
+            cells[0] = "%.17g" % (float(cells[0]) + offset)
+            return rows[:r] + [",".join(cells)] + rows[r + 1:]
+
+        return shift, r + 2
+    if kind == "block":
+        # a repeated rho block is named at the first line of the copy
+        b = data.draw(st.integers(0, nr - 1))
+        return lambda rows: rows[: (b + 1) * nz] + rows[b * nz:], (b + 1) * nz + 2
+    # the last block loses between one and nz - 1 rows; its last row is named
+    t = data.draw(st.integers(1, nz - 1))
+    return lambda rows: rows[:-t], n - t + 1
+
+
+@grid_files
+@given(row_major_grids(min_size=2), st.data())
+def test_load_field_grid_names_the_corrupted_line(tmp_path, grid, data):
+    path = tmp_path / "f.csv"
+    save_field_grid(path, grid)
+    header, *rows = path.read_text().splitlines()
+    corrupt, line = corrupted_rows(data, *grid.shape)
+    path.write_text("\n".join([header, *corrupt(rows)]) + "\n")
+    with pytest.raises(GridError, match=r": line %d: " % line):
+        load_field_grid(path)
 
 
 def test_save_helicity_map_columns(tmp_path):

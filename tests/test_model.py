@@ -1,5 +1,4 @@
 import math
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -43,8 +42,6 @@ def test_params_validation_messages():
         SystemParams(g0=math.nan, kappa_i=1.0, kappa_ex=5.0)
     with pytest.raises(ValidationError):
         SystemParams(g0=20.0, kappa_i=0.0, kappa_ex=0.0)  # kappa == 0
-    with pytest.raises(ValidationError, match="drive_amp"):
-        SystemParams(g0=20.0, kappa_i=1.0, kappa_ex=5.0, drive_amp=0.0)
 
 
 def test_kappa_property():
@@ -101,7 +98,7 @@ def test_decay_matrix():
 def test_steady_state_known_amplitude():
     # ideal case, resonant forward drive: <a> = -i*E*(gamma/2)/(g0^2 + kappa*gamma/2)
     system = build_linear_system(IDEAL, DriveSpec("forward", 0.0))
-    x = steady_state(system, drive_amp=1.0)
+    x = steady_state(system)
     assert x[0] == pytest.approx(-1j * 0.5 / 404.0, abs=1e-15)
     assert x[1] == 0.0  # backward mode stays empty without backscattering
 
@@ -110,14 +107,14 @@ def test_steady_state_bare_cavity():
     bare = SystemParams(g0=0.0, kappa_i=3.0, kappa_ex=5.0)
     for dc in (0.0, -4.0, 11.0):
         system = build_linear_system(bare, DriveSpec("forward", dc))
-        x = steady_state(system, drive_amp=2.0)
-        assert x[0] == pytest.approx(2j / (-8.0 - 1j * dc), abs=1e-14)
+        x = steady_state(system)
+        assert x[0] == pytest.approx(1j / (-8.0 - 1j * dc), abs=1e-14)
 
 
 def test_steady_state_rejects_singular_matrix():
     bad = LinearSystem(matrix=np.zeros((4, 4), complex), drive=np.array([1, 0, 0, 0], complex))
     with pytest.raises(SingularSystemError):
-        steady_state(bad, drive_amp=1.0)
+        steady_state(bad)
     # one singular system in a stack fails the whole stack
     good = build_linear_system(NONIDEAL, DriveSpec("forward", 3.0))
     stack = LinearSystem(
@@ -125,11 +122,11 @@ def test_steady_state_rejects_singular_matrix():
         drive=np.stack([good.drive] * 3),
     )
     with pytest.raises(SingularSystemError, match="singular"):
-        steady_state(stack, drive_amp=1.0)
+        steady_state(stack)
     # a pivot this small overflows the solution
     tiny = LinearSystem(matrix=np.diag([1e-310, 1.0, 1.0, 1.0]).astype(complex), drive=bad.drive)
     with pytest.raises(SingularSystemError, match="non-finite"):
-        steady_state(tiny, drive_amp=1.0)
+        steady_state(tiny)
 
 
 def test_steady_state_stack_matches_single_solves():
@@ -137,10 +134,10 @@ def test_steady_state_stack_matches_single_solves():
                for d in ("forward", "backward") for dc in (-12.0, 0.0, 30.0)]
     stack = LinearSystem(matrix=np.stack([s.matrix for s in systems]),
                          drive=np.stack([s.drive for s in systems]))
-    x = steady_state(stack, drive_amp=2.5)
+    x = steady_state(stack)
     assert x.shape == (6, 4)
     for row, system in zip(x, systems):
-        assert np.array_equal(row, steady_state(system, drive_amp=2.5))
+        assert np.array_equal(row, steady_state(system))
 
 
 # --- transmission / reflection ---
@@ -180,29 +177,6 @@ def test_reflection_bare_modes_value():
     params = SystemParams(g0=0.0, kappa_i=3.0, kappa_ex=5.0, h=20.0)
     r = reflection(params, DriveSpec("forward", 0.0))
     assert r == pytest.approx((200.0 / 464.0) ** 2, abs=1e-12)
-
-
-def test_transmission_independent_of_drive_amplitude():
-    a = transmission(NONIDEAL, DriveSpec("backward", -12.0))
-    b = transmission(replace(NONIDEAL, drive_amp=37.5), DriveSpec("backward", -12.0))
-    assert b == pytest.approx(a, rel=1e-14)
-
-
-def test_drive_amplitude_range():
-    # outside [1e-100, 1e100] the squared norms of the residual gate
-    # overflow or underflow, so such amplitudes are rejected up front
-    for amp in (1e160, -1e160, 1e-160, -1e-160):
-        with pytest.raises(ValidationError, match="drive_amp"):
-            SystemParams(g0=20.0, kappa_i=1.0, kappa_ex=5.0, drive_amp=amp)
-    reference = [transmission(NONIDEAL, DriveSpec(d, -12.0)) for d in ("forward", "backward")]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        for amp in (1e-100, -1e-100, 1e100, -1e100):
-            params = replace(NONIDEAL, drive_amp=amp)
-            for direction, ref in zip(("forward", "backward"), reference):
-                assert transmission(params, DriveSpec(direction, -12.0)) == pytest.approx(
-                    ref, abs=1e-12
-                )
 
 
 def test_reciprocal_when_splitting_vanishes():
@@ -292,7 +266,6 @@ system_params = st.builds(
     h=st.floats(0.0, 30.0),
     gamma=st.floats(0.1, 5.0),
     delta12=st.floats(-60.0, 60.0),
-    drive_amp=st.floats(0.1, 10.0),
 )
 detuning = st.floats(-100.0, 100.0)
 invariants = settings(max_examples=150)

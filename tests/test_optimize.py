@@ -359,7 +359,7 @@ def test_zero_set_contains_closed_form_point(g0, kappa_i, fraction, p, theta):
 
 
 def test_maximize_contrast_with_fixed_splitting():
-    result = maximize_contrast(replace(NONIDEAL, drive_amp=2.0), fixed_delta12=30.0)
+    result = maximize_contrast(NONIDEAL, fixed_delta12=30.0)
     assert result.kappa_ex == 7.0
     assert result.delta12 == 30.0
     assert abs(result.delta_c - (-12.247764284722717)) < 1e-6
@@ -441,30 +441,40 @@ def test_sweep_grid_nodes_and_trace():
         assert abs(tb - backward_at(params, d12, dc)) < 1e-12
         assert abs(cdb - contrast_db(tf, tb)) < 1e-9
         assert bool(saturated) == (tb < CONTRAST_FLOOR)
-    assert np.array_equal(contour.zero_tb_trace, contour.zero_tb_rows[:, :2])
 
 
 def test_sweep_grid_ridge_steps_solve_backward_only(monkeypatch):
-    # the nodes are one stacked solve per direction; then each ridge step
-    # solves one backward system, and each refined column one forward system
-    calls = []
+    # the nodes are one stacked solve per direction; then each ridge step of
+    # a column is one dip search and one backward system, and the column's
+    # refined point adds one forward system and nothing else
+    calls, dips, nfev = [], [], []
 
-    def counting(system, drive_amp):
+    def counting(system):
         drives = system.drive.reshape(-1, 4)
         calls.append(("forward" if drives[0, 0] else "backward", len(drives)))
-        return steady_state(system, drive_amp)
+        return steady_state(system)
+
+    def counting_dip(params):
+        dips.append(params)
+        return cavity_dip_detuning(params)
+
+    def recording_search(*args, **kwargs):
+        res = minimize_scalar(*args, **kwargs)
+        nfev.append(res.nfev)
+        return res
 
     monkeypatch.setattr(model, "steady_state", counting)
     monkeypatch.setattr(optimize, "steady_state", counting)
+    monkeypatch.setattr(optimize, "cavity_dip_detuning", counting_dip)
+    monkeypatch.setattr(optimize, "minimize_scalar", recording_search)
     contour = sweep_grid(NONIDEAL, np.linspace(5.5, 15.0, 9), np.linspace(0.0, 40.0, 9))
     defined = int(np.sum(np.isfinite(contour.t_fwd)))
     refined = int(np.sum(np.any(np.isfinite(contour.t_fwd), axis=1)))
     assert refined == 9
-    assert calls[:2] == [("backward", defined), ("forward", defined)]
-    ridge = calls[2:]
-    assert all(n == 1 for _, n in ridge)
-    assert sum(d == "forward" for d, _ in ridge) == refined
-    assert sum(d == "backward" for d, _ in ridge) > 2 * refined
+    assert len(nfev) == refined
+    ridge = [step for n in nfev for step in [("backward", 1)] * n + [("forward", 1)]]
+    assert calls == [("backward", defined), ("forward", defined)] + ridge
+    assert len(dips) == sum(nfev)
 
 
 def node_reference(params):
@@ -502,7 +512,6 @@ def axis(lo, hi, n):
         theta=st.floats(-math.pi, math.pi),
         p=st.one_of(st.sampled_from([-1.0, 1.0]), st.floats(-1.0, 1.0)),
         h=st.one_of(st.just(0.0), st.floats(0.0, 30.0)),
-        drive_amp=st.floats(0.1, 10.0),
     ),
     axis(0.05, 40.0, 3),
     axis(-60.0, 60.0, 4),
