@@ -12,10 +12,14 @@ the Hilbert dimension is (n_max+1)**2 * 4. Density matrices are vectorized
 column-major: vec(rho)[i + d*j] = rho[i, j].
 
 The steady state is found by GMRES on the trace-constrained Liouvillian,
-preconditioned with a sparse LU of its excitation-conserving part. That
-part is the Liouvillian without the coherent drive, block-diagonal by
-coherence order, and it factors with about a tenth of the full matrix's
-fill. A direct LU of the full matrix is the fallback.
+preconditioned with a sparse LU of its excitation-conserving part, the
+Liouvillian without the coherent drive. That part is block-diagonal in
+the coherence order k = N_i - N_j, and block -k mirrors block k, so only
+the orders k >= 0 are factored, in one LU. Taken in ascending N_i within
+each order, those blocks are block upper triangular by excitation level,
+so an LU in that natural order pivots within a level and leaves every
+later level's diagonal block untouched: no fill across levels. A direct
+LU of the full matrix is the fallback.
 """
 
 from __future__ import annotations
@@ -39,9 +43,10 @@ from .tableio import finite
 
 MAX_N_MAX = 4
 
-# SuperLU column ordering. On the excitation-conserving preconditioner at
-# n_max 3-4 COLAMD factors 15-25% faster than MMD_ATA, with fill within 5%;
-# MMD_ATA is about 15% faster only on the full matrix, the fallback.
+# Column ordering of the direct fallback's LU of the full constrained
+# matrix (the preconditioner has its own, natural order). On the non-ideal
+# set COLAMD and MMD_ATA are within 7% at n_max 2-3; at n_max 4 MMD_ATA
+# takes 17 s against COLAMD's 20 s, with 10% less fill.
 _PERMC_SPEC = "COLAMD"
 
 
@@ -65,6 +70,7 @@ class TruncationSpec:
             )
         if not finite(self.drive_amp) or self.drive_amp < 0:
             raise ValidationError("drive_amp must be finite and >= 0")
+        object.__setattr__(self, "n_max", int(self.n_max))
 
     @property
     def dimension(self) -> int:
@@ -201,18 +207,31 @@ def _trace_constrained(matrix) -> sparse.csc_matrix:
     return sparse.csr_matrix((data, indices, indptr), shape=csr.shape).tocsc()
 
 
-def _excitation_conserving(lio, d: int):
-    """The entries of lio that keep the coherence order, or None.
+@lru_cache(maxsize=8)
+def _excitation_number(d: int):
+    """N = n_a + n_b + s1 + s2 of each basis state, or None.
 
-    The coherence order of vec(rho)[i + d*j] is N_i - N_j, with
-    N = n_a + n_b + s1 + s2 read from the documented basis order. Every
-    term but the coherent drive conserves N, so this is lio without the
-    drive commutator. None if d is not a dimension of that basis.
+    Read from the documented basis order. None if d is not a dimension
+    of that basis.
     """
     n_levels = math.isqrt(d // 4)
     if n_levels * n_levels * 4 != d:
         return None
     number = np.indices((n_levels, n_levels, 2, 2)).sum(axis=0).ravel()
+    number.flags.writeable = False
+    return number
+
+
+def _excitation_conserving(lio, d: int):
+    """The entries of lio that keep the coherence order, or None.
+
+    The coherence order of vec(rho)[i + d*j] is N_i - N_j. Every term
+    but the coherent drive conserves N, so this is lio without the drive
+    commutator. None if d is not a dimension of the documented basis.
+    """
+    number = _excitation_number(d)
+    if number is None:
+        return None
     coo = lio.tocoo()
     keep = (number[coo.row % d] - number[coo.row // d]) == (
         number[coo.col % d] - number[coo.col // d]
@@ -222,23 +241,61 @@ def _excitation_conserving(lio, d: int):
     )
 
 
+@lru_cache(maxsize=8)
+def _coherence_order(d: int):
+    """Vec indices of coherence order k >= 0 in excitation order.
+
+    Returns (keep, mirror, n0): the indices i + d*j with
+    k = N_i - N_j >= 0, sorted by k and then by N_i; their mirrors
+    j + d*i, of order -k; and the number of entries with k = 0. The
+    caller has checked that d is a dimension of the documented basis.
+    """
+    number = _excitation_number(d)
+    vec = np.arange(d * d)
+    rows, cols = vec % d, vec // d
+    order = number[rows] - number[cols]
+    keep = vec[order >= 0]
+    keep = keep[np.lexsort((number[rows[keep]], order[keep]))]
+    mirror = cols[keep] + d * rows[keep]
+    for index in (keep, mirror):
+        index.flags.writeable = False
+    return keep, mirror, int(np.count_nonzero(order == 0))
+
+
 def _preconditioned_solve(lio, constrained, rhs, d: int):
     """GMRES on the constrained system, preconditioned by its undriven part.
 
-    The undriven part is block-diagonal by coherence order and factors
-    with far less fill than the full matrix. Returns None when the
-    preconditioner does not apply or GMRES does not converge.
+    The undriven part conserves the coherence order k, so it is
+    block-diagonal in k. Within a block its jump terms lower N_i and N_j
+    together, so in ascending N_i order each block is block upper
+    triangular by level: a natural-order LU pivots within a level and
+    never updates a later level's diagonal block. A Lindblad generator maps rho' to
+    L(rho)', so block -k is the complex conjugate of block k under
+    i <-> j. Only k >= 0 is factored, in one LU; the trace row lies in
+    block 0, its own mirror. Returns None when the preconditioner does
+    not apply or GMRES does not converge.
     """
     conserving = _excitation_conserving(lio, d)
     if conserving is None:
         return None
+    keep, mirror, n0 = _coherence_order(d)
     try:
-        lu = splu(_trace_constrained(conserving), permc_spec=_PERMC_SPEC)
+        lu = splu(
+            _trace_constrained(conserving)[keep][:, keep], permc_spec="NATURAL"
+        )
     except RuntimeError:
         return None
-    precond = LinearOperator(constrained.shape, matvec=lu.solve, dtype=complex)
+
+    def solve(r):
+        r = np.ravel(r)
+        x = np.empty(r.shape, dtype=complex)
+        x[keep] = lu.solve(r[keep])
+        x[mirror[n0:]] = np.conj(lu.solve(np.conj(r[mirror]))[n0:])
+        return x
+
+    precond = LinearOperator(constrained.shape, matvec=solve, dtype=complex)
     vec, info = gmres(
-        constrained, rhs, x0=lu.solve(rhs), M=precond,
+        constrained, rhs, x0=solve(rhs), M=precond,
         rtol=1e-14, atol=0.0, restart=50, maxiter=20,
     )
     return vec if info == 0 else None
@@ -250,7 +307,9 @@ def steady_density_matrix(liouvillian) -> SteadyDensityMatrix:
     One superoperator row is replaced by the trace constraint. The
     constrained system is solved by GMRES, preconditioned with a sparse
     LU of its excitation-conserving part (the Liouvillian without the
-    coherent drive) and started from that LU's solution. If the
+    coherent drive) and started from that preconditioner's solution. The
+    LU covers the coherence orders k >= 0 in natural excitation order;
+    the orders k < 0 are solved as their complex-conjugate mirrors. If the
     dimension is not (n+1)**2 * 4, the preconditioner is singular, or
     GMRES does not converge, the full constrained system is factored
     directly instead. The residual of the original Liouvillian is checked

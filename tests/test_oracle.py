@@ -76,6 +76,15 @@ def test_truncation_spec_dimension():
     assert TruncationSpec(n_max=3).dimension == 64
 
 
+def test_truncation_spec_stores_integer_cutoff():
+    # a JSON config may give the cutoff as 2.0
+    for n_max in (2.0, np.int64(2)):
+        trunc = TruncationSpec(n_max=n_max)
+        assert type(trunc.n_max) is int and trunc.n_max == 2
+        assert type(trunc.dimension) is int and trunc.dimension == 36
+    assert TruncationSpec(n_max=2.0) == TruncationSpec(n_max=2)
+
+
 # --- generator structure ---
 
 
@@ -229,6 +238,87 @@ def test_steady_state_matches_direct_solve_randomized(params, amp, direction, de
     lio = build_liouvillian(params, trunc, DriveSpec(direction, detuning))
     rho = steady_density_matrix(lio).matrix
     assert np.max(np.abs(rho - direct_steady_state(lio))) <= 1e-12
+
+
+def undriven(params, n_max, detuning):
+    """The excitation-conserving generator at zero drive, and d."""
+    trunc = TruncationSpec(n_max=n_max, drive_amp=0.0)
+    lio = build_liouvillian(params, trunc, DriveSpec("forward", detuning))
+    return sparse.csr_matrix(oracle._excitation_conserving(lio, trunc.dimension)), trunc.dimension
+
+
+def excitation_orders(n_max):
+    """(coherence order k, N_i) of each vec index i + d*j."""
+    number = sum(np.diag(op) for op in number_ops(n_max)).astype(int)
+    d = number.size
+    n_i = np.tile(number, d)
+    return n_i - np.repeat(number, d), n_i
+
+
+def swap_indices(d):
+    """The index of vec(rho') entry by entry: i + d*j -> j + d*i."""
+    return np.arange(d * d).reshape((d, d)).T.ravel()
+
+
+preconditioner_cases = st.tuples(
+    oracle_params, st.sampled_from([1, 2, 3]), st.floats(-60.0, 60.0)
+)
+
+
+@settings(max_examples=15, deadline=None)
+@given(preconditioner_cases)
+def test_undriven_generator_is_its_own_mirror(case):
+    # L(rho') = L(rho)': swapping i and j conjugates the generator
+    conserving, d = undriven(*case)
+    swap = swap_indices(d)
+    mirrored = conserving[swap][:, swap]
+    assert abs(mirrored - conserving.conj()).max() == 0.0
+
+
+@settings(max_examples=15, deadline=None)
+@given(preconditioner_cases, st.integers(0, 2**32 - 1))
+def test_preconditioner_solves_the_constrained_undriven_system(case, seed):
+    params, n_max, detuning = case
+    trunc = TruncationSpec(n_max=n_max, drive_amp=0.05)
+    lio = build_liouvillian(params, trunc, DriveSpec("backward", detuning))
+    d = trunc.dimension
+    captured = {}
+
+    def capturing_gmres(matrix, rhs, **kwargs):
+        captured.update(kwargs)
+        return np.zeros_like(rhs), 0
+
+    constrained = oracle._trace_constrained(lio)
+    rhs = np.zeros(d * d, dtype=complex)
+    rhs[0] = 1.0
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "gmres", capturing_gmres)
+        oracle._preconditioned_solve(lio, constrained, rhs, d)
+    reference = splu(oracle._trace_constrained(oracle._excitation_conserving(lio, d)))
+    rng = np.random.default_rng(seed)
+    r = rng.standard_normal(d * d) + 1j * rng.standard_normal(d * d)
+    for b, x in ((rhs, captured["x0"]), (r, captured["M"].matvec(r))):
+        expected = reference.solve(b)
+        assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 3])
+def test_preconditioner_order_is_block_upper_triangular(n_max):
+    conserving, d = undriven(NONIDEAL, n_max, 7.0)
+    keep, mirror, n0 = oracle._coherence_order(d)
+    order, n_i = excitation_orders(n_max)
+    # k >= 0 in ascending (k, N_i), mirrored onto k <= 0, each index once
+    assert np.all(order[keep] >= 0) and np.all(order[keep][:n0] == 0)
+    assert np.all(np.diff(order[keep] * d + n_i[keep]) >= 0)
+    assert np.array_equal(mirror, swap_indices(d)[keep])
+    assert np.array_equal(np.sort(np.concatenate((keep, mirror[n0:]))), np.arange(d * d))
+    # no entry below the (k, level) diagonal blocks, the trace row included
+    restricted = oracle._trace_constrained(conserving)[keep][:, keep].tocoo()
+    assert restricted.nnz > 0
+    rows, cols = keep[restricted.row], keep[restricted.col]
+    assert np.array_equal(order[rows], order[cols])
+    assert np.all(n_i[rows] <= n_i[cols])
+    assert np.any(n_i[rows] < n_i[cols])
 
 
 def hermiticity_breaking(lio, d):
