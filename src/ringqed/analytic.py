@@ -19,7 +19,7 @@ from scipy.optimize import minimize_scalar
 
 from .errors import ConstraintError, SingularSystemError, ValidationError
 from .model import DriveSpec, SystemParams, coupling_matrix
-from .tableio import write_table
+from .tableio import finite, write_table
 
 EIGEN_SWEEP_COLUMNS = ("sweep_var", "lambda1", "lambda2", "lambda3", "lambda4")
 
@@ -70,6 +70,9 @@ def isolation_conditions(
 
     Valid only for kappa_ex > kappa_i and g0^2 >= gamma*(kappa_ex-kappa_i)/2.
     """
+    for name, value in (("g0", g0), ("gamma", gamma), ("kappa_i", kappa_i), ("kappa_ex", kappa_ex)):
+        if not finite(value):
+            raise ValidationError("%s must be a finite real number" % name)
     if gamma <= 0:
         raise ValidationError("gamma must be > 0")
     if g0 < 0:

@@ -11,15 +11,20 @@ Basis ordering is (n_a, n_b, s1, s2) lexicographic with photon numbers
 the Hilbert dimension is (n_max+1)**2 * 4. Density matrices are vectorized
 column-major: vec(rho)[i + d*j] = rho[i, j].
 
+Every Liouvillian is one weighted sum over a cached term basis: eleven
+parameter-free superoperators per n_max on one shared sparse pattern, so
+a new parameter set costs one sparse product and no kron.
+
 The steady state is found by GMRES on the trace-constrained Liouvillian,
-preconditioned with a sparse LU of its excitation-conserving part, the
-Liouvillian without the coherent drive. That part is block-diagonal in
-the coherence order k = N_i - N_j, and block -k mirrors block k, so only
-the orders k >= 0 are factored, in one LU. Taken in ascending N_i within
-each order, those blocks are block upper triangular by excitation level,
-so an LU in that natural order pivots within a level and leaves every
-later level's diagonal block untouched: no fill across levels. A direct
-LU of the full matrix is the fallback.
+preconditioned with its undriven part, the Liouvillian without the
+coherent drive, which is cut out of it by index arithmetic. That part is
+block-diagonal in the coherence order k = N_i - N_j, and block -k mirrors
+block k, so only the orders k >= 0 are factored. Grouped by excitation
+level N_i they are block upper triangular: the jump terms reach only
+level N_i + 1 and the trace row every level. Each level's diagonal block
+gets its own natural-order LU, and the off-diagonal blocks are applied by
+block back-substitution, so no LU fills them. A direct LU of the full
+matrix is the fallback.
 """
 
 from __future__ import annotations
@@ -139,36 +144,54 @@ def _dissipator_superop(op, rate: float) -> sparse.csr_matrix:
     return rate * (jump - 0.5 * (left + right))
 
 
-@lru_cache(maxsize=16)
-def _liouvillian_pieces(params: SystemParams, n_max: int, direction: str, drive_amp: float):
-    """Detuning-independent Liouvillian and the detuning generator.
+@lru_cache(maxsize=MAX_N_MAX)
+def _liouvillian_pieces(n_max: int):
+    """Parameter-free superoperator of each Liouvillian term, on one pattern.
 
-    The full Liouvillian at cavity-probe detuning dc is
-    static + dc * detuning_piece, so sweeping a spectrum reuses the
-    expensive assembly.
+    The Liouvillian is sum_t w_t * T_t over 11 real superoperators T_t.
+    The first nine are commutators, T = kron(I, H) - kron(H.T, I), with
+    w = -i times the coefficient of H: delta12 on (P1 - P2)/2, h on
+    ab' + ba', g_plus on s1'a + b's2 and conj(g_plus) on its adjoint,
+    g_minus on s2'a + b's1 and conj(g_minus) on its adjoint, the drive
+    on a + a' and on b + b', and the detuning on the excitation number.
+    The last two are the dissipators D(a) + D(b) at rate 2*kappa and
+    D(s1) + D(s2) at rate gamma.
+
+    Returns (indices, indptr, basis): the CSC pattern shared by all
+    terms, and a sparse (pattern nnz, 11) matrix whose column t holds
+    term t as (positions in the pattern, values). Built once per n_max;
+    a parameter set is then one product basis @ w.
     """
     a, b, s1, s2 = _mode_operators(n_max + 1)
-    gp, gm = couplings(params.g0, params.theta, params.p)
-    proj1 = (s1.conj().T @ s1).tocsr()
-    proj2 = (s2.conj().T @ s2).tocsr()
+    ad, bd, s1d, s2d = (op.T.tocsr() for op in (a, b, s1, s2))
+    proj1, proj2 = s1d @ s1, s2d @ s2
+    g_plus, g_minus = s1d @ a + bd @ s2, s2d @ a + bd @ s1
+    hamiltonians = (
+        (proj1 - proj2) / 2.0, a @ bd + b @ ad,
+        g_plus, g_plus.T, g_minus, g_minus.T,
+        a + ad, b + bd, ad @ a + bd @ b + proj1 + proj2,
+    )
+    terms = [(1j * _commutator_superop(op)).real for op in hamiltonians]
+    terms.append(_dissipator_superop(a, 1.0) + _dissipator_superop(b, 1.0))
+    terms.append(_dissipator_superop(s1, 1.0) + _dissipator_superop(s2, 1.0))
 
-    h_static = (params.delta12 / 2.0) * (proj1 - proj2)
-    h_static = h_static + params.h * (a @ b.conj().T + b @ a.conj().T)
-    inter = gp * (s1.conj().T @ a) + gm * (s2.conj().T @ a)
-    inter = inter + np.conj(gm) * (s1.conj().T @ b) + np.conj(gp) * (s2.conj().T @ b)
-    h_static = h_static + inter + inter.conj().T
-    drive_op = a if direction == "forward" else b
-    h_static = h_static + drive_amp * (drive_op + drive_op.conj().T)
-
-    static = _commutator_superop(h_static.tocsr())
-    static = static + _dissipator_superop(a, 2.0 * params.kappa)
-    static = static + _dissipator_superop(b, 2.0 * params.kappa)
-    static = static + _dissipator_superop(s1, params.gamma)
-    static = static + _dissipator_superop(s2, params.gamma)
-
-    number_op = (a.conj().T @ a + b.conj().T @ b + proj1 + proj2).tocsr()
-    detuning_piece = _commutator_superop(number_op)
-    return static.tocsc(), detuning_piece.tocsc()
+    coos = [sparse.coo_matrix(term) for term in terms]
+    n2 = coos[0].shape[0]
+    keys = np.concatenate([coo.col.astype(np.int64) * n2 + coo.row for coo in coos])
+    pattern = np.unique(keys)
+    indices = (pattern % n2).astype(np.int32)
+    indptr = np.searchsorted(pattern, np.arange(n2 + 1) * n2).astype(np.int32)
+    basis = sparse.csc_matrix(
+        (
+            np.concatenate([coo.data for coo in coos]),
+            np.searchsorted(pattern, keys),
+            np.cumsum([0] + [coo.nnz for coo in coos]),
+        ),
+        shape=(pattern.size, len(coos)),
+    )
+    for array in (indices, indptr, basis.data, basis.indices, basis.indptr):
+        array.flags.writeable = False
+    return indices, indptr, basis
 
 
 def build_liouvillian(
@@ -180,11 +203,24 @@ def build_liouvillian(
     + gamma*L(sigma1) + gamma*L(sigma2), where H carries the detunings,
     backscattering, helicity-split couplings, and the coherent drive of
     amplitude trunc.drive_amp on mode a (forward) or b (backward).
+
+    The matrix is one weighted sum over the cached term basis of
+    _liouvillian_pieces, formed in one pass over its shared pattern.
+    Exact zeros are then dropped, so a term whose coefficient vanishes
+    (h = 0, p = 1, delta12 = 0, zero drive) leaves no entries behind.
     """
-    static, detuning_piece = _liouvillian_pieces(
-        params, trunc.n_max, drive.direction, trunc.drive_amp
-    )
-    return (static + drive.detuning * detuning_piece).tocsc()
+    indices, indptr, basis = _liouvillian_pieces(trunc.n_max)
+    gp, gm = couplings(params.g0, params.theta, params.p)
+    amp = trunc.drive_amp
+    drives = (amp, 0.0) if drive.forward else (0.0, amp)
+    energies = (params.delta12, params.h, gp, np.conj(gp), gm, np.conj(gm), *drives, drive.detuning)
+    weights = np.array([-1j * c for c in energies] + [2.0 * params.kappa, params.gamma])
+    data = basis @ weights
+    if np.count_nonzero(data) < data.size:
+        nonzero = np.flatnonzero(data)
+        data, indices, indptr = data[nonzero], indices[nonzero], np.searchsorted(nonzero, indptr)
+    n2 = indptr.size - 1
+    return sparse.csc_matrix((data, indices, indptr), shape=(n2, n2))
 
 
 def _diagnose_singular(liouvillian) -> int | None:
@@ -196,7 +232,7 @@ def _diagnose_singular(liouvillian) -> int | None:
     return None
 
 
-def _trace_constrained(matrix) -> sparse.csc_matrix:
+def _trace_constrained(matrix) -> sparse.csr_matrix:
     """The superoperator with row 0 replaced by the trace functional."""
     csr = sparse.csr_matrix(matrix)
     d = math.isqrt(csr.shape[0])
@@ -204,7 +240,7 @@ def _trace_constrained(matrix) -> sparse.csc_matrix:
     indptr = np.concatenate(([0], csr.indptr[1:] - start + d))
     indices = np.concatenate((np.arange(d) * (d + 1), csr.indices[start:]))
     data = np.concatenate((np.ones(d, dtype=csr.dtype), csr.data[start:]))
-    return sparse.csr_matrix((data, indices, indptr), shape=csr.shape).tocsc()
+    return sparse.csr_matrix((data, indices, indptr), shape=csr.shape)
 
 
 @lru_cache(maxsize=8)
@@ -220,25 +256,6 @@ def _excitation_number(d: int):
     number = np.indices((n_levels, n_levels, 2, 2)).sum(axis=0).ravel()
     number.flags.writeable = False
     return number
-
-
-def _excitation_conserving(lio, d: int):
-    """The entries of lio that keep the coherence order, or None.
-
-    The coherence order of vec(rho)[i + d*j] is N_i - N_j. Every term
-    but the coherent drive conserves N, so this is lio without the drive
-    commutator. None if d is not a dimension of the documented basis.
-    """
-    number = _excitation_number(d)
-    if number is None:
-        return None
-    coo = lio.tocoo()
-    keep = (number[coo.row % d] - number[coo.row // d]) == (
-        number[coo.col % d] - number[coo.col // d]
-    )
-    return sparse.coo_matrix(
-        (coo.data[keep], (coo.row[keep], coo.col[keep])), shape=lio.shape
-    )
 
 
 @lru_cache(maxsize=8)
@@ -262,35 +279,95 @@ def _coherence_order(d: int):
     return keep, mirror, int(np.count_nonzero(order == 0))
 
 
+@lru_cache(maxsize=8)
+def _levels(d: int):
+    """_coherence_order's sequence regrouped by excitation level N_i.
+
+    Returns (kept, mirrored, positive, place, order, bounds): keep and
+    mirror taken in ascending N_i, and within a level in keep's order; the
+    positions in that order whose k is > 0; the position of each vec index
+    in it (-1 where k < 0); the coherence order of each vec index; and
+    the bounds of the levels N_i = 0, 1, ... .
+    """
+    keep, mirror, n0 = _coherence_order(d)
+    number = _excitation_number(d)
+    level = number[keep % d]
+    by_level = np.argsort(level, kind="stable")
+    kept, mirrored = keep[by_level], mirror[by_level]
+    positive = np.flatnonzero(by_level >= n0)
+    place = np.full(d * d, -1)
+    place[kept] = np.arange(kept.size)
+    vec = np.arange(d * d)
+    order = number[vec % d] - number[vec // d]
+    bounds = np.searchsorted(level[by_level], np.arange(level.max() + 2))
+    for array in (kept, mirrored, positive, place, order, bounds):
+        array.flags.writeable = False
+    return kept, mirrored, positive, place, order, bounds
+
+
+def _preconditioner_matrix(lio, d: int) -> sparse.csc_matrix:
+    """The trace-constrained undriven part of lio on the orders k >= 0.
+
+    Cut out by index arithmetic: the entries whose row and column have
+    the same coherence order k >= 0, row 0 excepted, placed in _levels'
+    order, plus the trace row. Every term but the coherent drive
+    conserves k, so this is the trace-constrained Liouvillian without
+    the drive, restricted to keep. The caller has checked that d is a
+    dimension of the documented basis.
+    """
+    kept, _, _, place, order, _ = _levels(d)
+    coo = lio.tocoo()
+    rows, cols = place[coo.row], place[coo.col]
+    same = (order[coo.row] == order[coo.col]) & (rows > 0)
+    diagonal = place[np.arange(d) * (d + 1)]
+    rows = np.concatenate((rows[same], np.zeros(d, dtype=rows.dtype)))
+    cols = np.concatenate((cols[same], diagonal))
+    data = np.concatenate((coo.data[same], np.ones(d, dtype=coo.data.dtype)))
+    return sparse.coo_matrix((data, (rows, cols)), shape=(kept.size,) * 2).tocsc()
+
+
 def _preconditioned_solve(lio, constrained, rhs, d: int):
     """GMRES on the constrained system, preconditioned by its undriven part.
 
     The undriven part conserves the coherence order k, so it is
-    block-diagonal in k. Within a block its jump terms lower N_i and N_j
-    together, so in ascending N_i order each block is block upper
-    triangular by level: a natural-order LU pivots within a level and
-    never updates a later level's diagonal block. A Lindblad generator maps rho' to
-    L(rho)', so block -k is the complex conjugate of block k under
-    i <-> j. Only k >= 0 is factored, in one LU; the trace row lies in
-    block 0, its own mirror. Returns None when the preconditioner does
-    not apply or GMRES does not converge.
+    block-diagonal in k. A Lindblad generator maps rho' to L(rho)', so
+    block -k is the complex conjugate of block k under i <-> j: only
+    k >= 0 is factored, and the trace row lies in block 0, its own
+    mirror. Within each block the jump terms lower N_i and N_j together,
+    so in ascending N_i the matrix is block upper triangular by level:
+    off-diagonal entries reach only level N_i + 1, and the trace row
+    reaches every level. Each level's diagonal block is factored on its
+    own, in natural order, and the factors are applied by block
+    back-substitution from the top level down. The off-diagonal blocks
+    are multiplied, never factored, so they create no fill. The k >= 0
+    part of the right-hand side and the conjugated k <= 0 part go through
+    one two-column pass. Returns None when the preconditioner does not
+    apply or GMRES does not converge.
     """
-    conserving = _excitation_conserving(lio, d)
-    if conserving is None:
+    if _excitation_number(d) is None:
         return None
-    keep, mirror, n0 = _coherence_order(d)
+    kept, mirrored, positive, _, _, bounds = _levels(d)
+    matrix = _preconditioner_matrix(lio, d)
+    factors = []
     try:
-        lu = splu(
-            _trace_constrained(conserving)[keep][:, keep], permc_spec="NATURAL"
-        )
+        for start, stop in zip(bounds[:-1], bounds[1:]):
+            lu = splu(matrix[start:stop, start:stop], permc_spec="NATURAL")
+            factors.append((start, stop, lu, matrix[:start, start:stop]))
     except RuntimeError:
         return None
+    factors.reverse()
+    mirrored_positive = mirrored[positive]
 
     def solve(r):
         r = np.ravel(r)
+        y = np.stack((r[kept], np.conj(r[mirrored])), axis=1)
+        for start, stop, lu, above in factors:
+            y[start:stop] = lu.solve(y[start:stop])
+            if start:
+                y[:start] -= above @ y[start:stop]
         x = np.empty(r.shape, dtype=complex)
-        x[keep] = lu.solve(r[keep])
-        x[mirror[n0:]] = np.conj(lu.solve(np.conj(r[mirror]))[n0:])
+        x[kept] = y[:, 0]
+        x[mirrored_positive] = np.conj(y[positive, 1])
         return x
 
     precond = LinearOperator(constrained.shape, matvec=solve, dtype=complex)
@@ -305,16 +382,17 @@ def steady_density_matrix(liouvillian) -> SteadyDensityMatrix:
     """Null vector of the Liouvillian normalized to unit trace.
 
     One superoperator row is replaced by the trace constraint. The
-    constrained system is solved by GMRES, preconditioned with a sparse
-    LU of its excitation-conserving part (the Liouvillian without the
-    coherent drive) and started from that preconditioner's solution. The
-    LU covers the coherence orders k >= 0 in natural excitation order;
-    the orders k < 0 are solved as their complex-conjugate mirrors. If the
-    dimension is not (n+1)**2 * 4, the preconditioner is singular, or
-    GMRES does not converge, the full constrained system is factored
-    directly instead. The residual of the original Liouvillian is checked
-    against 1e-8. Raises if the null space is degenerate or the result
-    violates Hermiticity, trace, or positivity tolerances.
+    constrained system is solved by GMRES, preconditioned with its
+    undriven part (the Liouvillian without the coherent drive) and
+    started from that preconditioner's solution. The preconditioner
+    covers the coherence orders k >= 0, factored one excitation level at
+    a time and applied by block back-substitution; the orders k < 0 are
+    solved as their complex-conjugate mirrors. If the dimension is not
+    (n+1)**2 * 4, a level block is singular, or GMRES does not converge,
+    the full constrained system is factored directly instead. The
+    residual of the original Liouvillian is checked against 1e-8. Raises
+    if the null space is degenerate or the result violates Hermiticity,
+    trace, or positivity tolerances.
     """
     lio = sparse.csc_matrix(liouvillian)
     n2 = lio.shape[0]
@@ -330,7 +408,7 @@ def steady_density_matrix(liouvillian) -> SteadyDensityMatrix:
     vec = _preconditioned_solve(lio, constrained, rhs, d)
     if vec is None:
         try:
-            vec = splu(constrained, permc_spec=_PERMC_SPEC).solve(rhs)
+            vec = splu(constrained.tocsc(), permc_spec=_PERMC_SPEC).solve(rhs)
         except RuntimeError as exc:
             null_dim = _diagnose_singular(lio)
             if null_dim is not None and null_dim > 1:

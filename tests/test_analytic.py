@@ -66,6 +66,15 @@ def test_isolation_conditions_input_validation():
         isolation_conditions(20.0, 1.0, -5.0, 6.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "5", True])
+@pytest.mark.parametrize("slot", range(4))
+def test_isolation_conditions_rejects_non_finite_inputs(slot, bad):
+    args = [20.0, 1.0, 5.0, 6.0]
+    args[slot] = bad
+    with pytest.raises(ValidationError, match="finite"):
+        isolation_conditions(*args)
+
+
 # --- ideal transmission formula ---
 
 

@@ -1,4 +1,6 @@
 import math
+from dataclasses import replace
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from ringqed.errors import (
     TruncationError,
     ValidationError,
 )
-from ringqed.model import DriveSpec, SystemParams, transmission
+from ringqed.model import DriveSpec, SystemParams, couplings, transmission
 from ringqed.oracle import (
     TruncationSpec,
     build_liouvillian,
@@ -87,6 +89,18 @@ def test_truncation_spec_stores_integer_cutoff():
 
 # --- generator structure ---
 
+oracle_params = st.builds(
+    SystemParams,
+    g0=st.floats(0.0, 40.0),
+    kappa_i=st.floats(0.0, 10.0),
+    kappa_ex=st.floats(0.05, 15.0),
+    theta=st.floats(-math.pi, math.pi),
+    p=st.floats(-1.0, 1.0),
+    h=st.floats(0.0, 30.0),
+    gamma=st.floats(0.1, 5.0),
+    delta12=st.floats(-60.0, 60.0),
+)
+
 
 def test_liouvillian_preserves_trace():
     lio = build_liouvillian(NONIDEAL, WEAK, DriveSpec("forward", -12.0))
@@ -98,15 +112,90 @@ def test_liouvillian_preserves_trace():
     assert np.max(np.abs(trace_row @ lio.toarray())) < 1e-10
 
 
+def lowering_operators(n_max):
+    """Sparse (a, b, s1, s2) in the documented basis order, built with kron."""
+    ann = sparse.diags(np.sqrt(np.arange(1.0, n_max + 1)), 1)
+    idp, id2 = sparse.identity(n_max + 1), sparse.identity(2)
+    sm = sparse.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def embed(*ops):
+        return reduce(lambda x, y: sparse.kron(x, y, format="csr"), ops)
+
+    return (embed(ann, idp, id2, id2), embed(idp, ann, id2, id2),
+            embed(idp, idp, sm, id2), embed(idp, idp, id2, sm))
+
+
+def commutator(h):
+    """rho -> -i (H rho - rho H) under column stacking."""
+    ident = sparse.identity(h.shape[0], format="csr")
+    return -1j * (sparse.kron(ident, h, format="csr") - sparse.kron(h.T, ident, format="csr"))
+
+
+def dissipator(op, rate):
+    """rho -> rate * (O rho O' - (O'O rho + rho O'O)/2)."""
+    ident = sparse.identity(op.shape[0], format="csr")
+    opd_op = (op.conj().T @ op).tocsr()
+    jump = sparse.kron(op.conj(), op, format="csr")
+    left = sparse.kron(ident, opd_op, format="csr")
+    right = sparse.kron(opd_op.T, ident, format="csr")
+    return rate * (jump - 0.5 * (left + right))
+
+
+def reference_liouvillian(params, trunc, drive):
+    """The generator assembled operator by operator: H summed, then kron."""
+    a, b, s1, s2 = lowering_operators(trunc.n_max)
+    gp, gm = couplings(params.g0, params.theta, params.p)
+    proj1 = (s1.conj().T @ s1).tocsr()
+    proj2 = (s2.conj().T @ s2).tocsr()
+    h = (params.delta12 / 2.0) * (proj1 - proj2)
+    h = h + params.h * (a @ b.conj().T + b @ a.conj().T)
+    inter = gp * (s1.conj().T @ a) + gm * (s2.conj().T @ a)
+    inter = inter + np.conj(gm) * (s1.conj().T @ b) + np.conj(gp) * (s2.conj().T @ b)
+    h = h + inter + inter.conj().T
+    drive_op = a if drive.forward else b
+    h = h + trunc.drive_amp * (drive_op + drive_op.conj().T)
+    lio = commutator(h.tocsr())
+    lio = lio + dissipator(a, 2.0 * params.kappa) + dissipator(b, 2.0 * params.kappa)
+    lio = lio + dissipator(s1, params.gamma) + dissipator(s2, params.gamma)
+    number = (a.conj().T @ a + b.conj().T @ b + proj1 + proj2).tocsr()
+    return (lio + drive.detuning * commutator(number)).tocsc()
+
+
+@settings(max_examples=40)
+@given(
+    oracle_params,
+    st.sets(st.sampled_from(["h", "p", "delta12"])),
+    st.integers(1, 3),
+    st.sampled_from(["forward", "backward"]),
+    st.one_of(st.just(0.0), st.floats(1e-3, 3.0)),
+    st.floats(-60.0, 60.0),
+)
+def test_liouvillian_matches_reference_assembly(params, ideal, n_max, direction, amp, detuning):
+    # h = 0, p = 1 and delta12 = 0 each remove entries from the pattern
+    params = replace(params, **{name: 1.0 if name == "p" else 0.0 for name in ideal})
+    trunc = TruncationSpec(n_max=n_max, drive_amp=amp)
+    drive = DriveSpec(direction, detuning)
+    lio = build_liouvillian(params, trunc, drive)
+    reference = reference_liouvillian(params, trunc, drive)
+    assert np.array_equal(lio.indptr, reference.indptr)
+    assert np.array_equal(lio.indices, reference.indices)
+    scale = np.max(np.abs(reference.data))
+    assert np.max(np.abs(lio.data - reference.data)) <= 1e-13 * scale
+
+
 def test_undriven_part_is_liouvillian_without_drive():
-    # the coherent drive is the only term that changes the excitation number
+    # the coherent drive is the only term that changes the coherence order
     silent = TruncationSpec(n_max=2, drive_amp=0.0)
     driven = TruncationSpec(n_max=2, drive_amp=0.3)
+    d = driven.dimension
+    kept = oracle._levels(d)[0]
     for direction in ("forward", "backward"):
         drive = DriveSpec(direction, 4.0)
-        lio = build_liouvillian(NONIDEAL, driven, drive)
-        conserving = oracle._excitation_conserving(lio, driven.dimension)
-        assert abs(conserving - build_liouvillian(NONIDEAL, silent, drive)).max() == 0.0
+        matrix = oracle._preconditioner_matrix(build_liouvillian(NONIDEAL, driven, drive), d)
+        reference = oracle._trace_constrained(build_liouvillian(NONIDEAL, silent, drive))
+        reference = reference[kept][:, kept]
+        assert matrix.nnz == reference.nnz
+        assert abs(matrix - reference).max() == 0.0
 
 
 # --- steady-state physicality ---
@@ -213,18 +302,6 @@ def test_drive_limit_extrapolation_matches_linear_model(params, direction, detun
 
 # --- solver paths ---
 
-oracle_params = st.builds(
-    SystemParams,
-    g0=st.floats(0.0, 40.0),
-    kappa_i=st.floats(0.0, 10.0),
-    kappa_ex=st.floats(0.05, 15.0),
-    theta=st.floats(-math.pi, math.pi),
-    p=st.floats(-1.0, 1.0),
-    h=st.floats(0.0, 30.0),
-    gamma=st.floats(0.1, 5.0),
-    delta12=st.floats(-60.0, 60.0),
-)
-
 
 @settings(max_examples=40)
 @given(
@@ -241,10 +318,10 @@ def test_steady_state_matches_direct_solve_randomized(params, amp, direction, de
 
 
 def undriven(params, n_max, detuning):
-    """The excitation-conserving generator at zero drive, and d."""
+    """The generator at zero drive, which conserves the coherence order, and d."""
     trunc = TruncationSpec(n_max=n_max, drive_amp=0.0)
     lio = build_liouvillian(params, trunc, DriveSpec("forward", detuning))
-    return sparse.csr_matrix(oracle._excitation_conserving(lio, trunc.dimension)), trunc.dimension
+    return sparse.csr_matrix(lio), trunc.dimension
 
 
 def excitation_orders(n_max):
@@ -294,7 +371,8 @@ def test_preconditioner_solves_the_constrained_undriven_system(case, seed):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(oracle, "gmres", capturing_gmres)
         oracle._preconditioned_solve(lio, constrained, rhs, d)
-    reference = splu(oracle._trace_constrained(oracle._excitation_conserving(lio, d)))
+    conserving, _ = undriven(params, n_max, detuning)
+    reference = splu(oracle._trace_constrained(conserving).tocsc())
     rng = np.random.default_rng(seed)
     r = rng.standard_normal(d * d) + 1j * rng.standard_normal(d * d)
     for b, x in ((rhs, captured["x0"]), (r, captured["M"].matvec(r))):
@@ -319,6 +397,29 @@ def test_preconditioner_order_is_block_upper_triangular(n_max):
     assert np.array_equal(order[rows], order[cols])
     assert np.all(n_i[rows] <= n_i[cols])
     assert np.any(n_i[rows] < n_i[cols])
+    # jumps reach the next level only; the trace row (vec index 0) every level
+    above = (n_i[rows] < n_i[cols]) & (rows != 0)
+    assert np.all(n_i[cols[above]] == n_i[rows[above]] + 1)
+    assert np.array_equal(np.unique(n_i[cols[rows == 0]]), np.unique(n_i[keep]))
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 3])
+def test_levels_regroup_the_coherence_order(n_max):
+    d = TruncationSpec(n_max=n_max).dimension
+    keep, _, _ = oracle._coherence_order(d)
+    kept, mirrored, positive, place, order, bounds = oracle._levels(d)
+    k, n_i = excitation_orders(n_max)
+    assert np.array_equal(order, k)
+    # the same indices in ascending N_i, each level contiguous
+    assert np.array_equal(np.sort(kept), np.sort(keep))
+    assert np.all(np.diff(n_i[kept]) >= 0)
+    assert bounds[0] == 0 and bounds[-1] == kept.size
+    for level, (start, stop) in enumerate(zip(bounds[:-1], bounds[1:])):
+        assert np.all(n_i[kept[start:stop]] == level)
+    assert np.array_equal(mirrored, swap_indices(d)[kept])
+    assert np.array_equal(positive, np.flatnonzero(k[kept] > 0))
+    assert np.array_equal(place[kept], np.arange(kept.size))
+    assert np.all(place[k < 0] == -1)
 
 
 def hermiticity_breaking(lio, d):
@@ -342,7 +443,7 @@ def test_gmres_failure_falls_back_to_direct_solve(monkeypatch):
     factored = []
 
     def counting_splu(matrix, **kwargs):
-        factored.append(matrix.nnz)
+        factored.append((matrix.shape[0], matrix.nnz))
         return splu(matrix, **kwargs)
 
     def failing_gmres(matrix, rhs, **kwargs):
@@ -351,8 +452,13 @@ def test_gmres_failure_falls_back_to_direct_solve(monkeypatch):
     monkeypatch.setattr(oracle, "splu", counting_splu)
     monkeypatch.setattr(oracle, "gmres", failing_gmres)
     rho = steady_density_matrix(lio).matrix
-    # the preconditioner, then the full matrix, which has the drive's entries
-    assert len(factored) == 2 and factored[1] > factored[0]
+    # the preconditioner level by level, then the full matrix, which has
+    # the drive's entries
+    *levels, (full_dim, full_nnz) = factored
+    assert len(levels) == 2 * WEAK.n_max + 3
+    assert all(dim < WEAK.dimension**2 for dim, _ in levels)
+    assert full_dim == WEAK.dimension**2
+    assert full_nnz > max(nnz for _, nnz in levels)
     assert np.max(np.abs(rho - expected)) <= 1e-14
     assert np.max(np.abs(rho - direct_steady_state(lio))) <= 1e-14
     with pytest.raises(SteadyStateError, match="Hermiticity"):
