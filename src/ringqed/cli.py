@@ -207,10 +207,7 @@ def _run_helicity(config, params, threads):
 
 def _run_optimize(config, params, threads):
     block = _block(config, "optimize", {"fixed_delta12": None})
-    fixed = block["fixed_delta12"]
-    if fixed is not None and not finite(fixed):
-        raise ConfigError("optimize.fixed_delta12 must be null or a finite number")
-    result = maximize_contrast(params, fixed_delta12=fixed)
+    result = maximize_contrast(params, fixed_delta12=block["fixed_delta12"])
     columns = [f.name for f in fields(OptimizationResult)]
     return block, {"optimize.csv": lambda p: write_table(p, columns, [astuple(result)])}
 

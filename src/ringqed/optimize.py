@@ -7,23 +7,21 @@ the decay matrix with the backward-mode rate kappa replaced by
 kappa_i - kappa_ex. At one coupling that determinant has degree 4 in the
 detuning Delta and 2 in the splitting delta12, so its real zeros are the
 real roots of one resultant of its real and imaginary parts, found
-without seeds. Each root is re-evaluated through the 4x4 model; one that
-misses ZERO_TB_TARGET is polished by a Nelder-Mead simplex. On that zero
-set this module traces the zero line and maximizes the isolation contrast
-by a bounded search over the coupling.
+without seeds, for a whole stack of couplings at once. Each root is
+re-evaluated through the 4x4 model; one that misses ZERO_TB_TARGET is
+polished by a Nelder-Mead simplex. On that zero set this module traces
+the zero line, writes the zero trace of a contour sweep, and maximizes
+the isolation contrast by a bounded search over the coupling.
 
 The same lemma gives the backward amplitude in pole-zero form,
 t_b(Delta) = i*prod(Delta - z_k)/prod(Delta - p_k), with the poles the
 eigenvalues of i*Gamma - N0 and the zeros those of i*Gamma_b - N0. The
-backward-dip search behind the contour sweeps over (kappa_ex, delta12)
-reads T_b from that product, factored once per node, by scipy's bounded
-Brent search run on plain floats, and reports the transmissions of the
-4x4 solve at the dip. A sweep runs that search for all its grid nodes at
-once: one stacked eigvals for every node's poles and zeros, one lockstep
-array Brent search over every candidate bracket, and one stacked 4x4
-solve per direction, each node's numbers equal to the scalar search's
-bit for bit. Its ridge refinement stays a scalar bounded search per
-column, each step one scalar dip search.
+backward-dip search, cavity_dip_detuning, runs over a whole
+(kappa_ex, delta12) grid: one stacked eigvals for every node's poles and
+zeros, and one lockstep port of scipy's bounded Brent search over every
+candidate bracket, each step a product of four ratios. A contour sweep
+reports the transmissions of one stacked 4x4 solve per direction at the
+dips.
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ from numpy.polynomial import polynomial as P
 from scipy.optimize import minimize, minimize_scalar
 
 from .analytic import IsolationPoint, polariton_modes
-from .errors import ContinuationError, NoDipError, SingularSystemError, ValidationError
+from .errors import ContinuationError, NoDipError, ValidationError
 from .model import (
     _IDENTITY,
     DriveSpec,
@@ -50,7 +48,7 @@ from .model import (
     steady_state,
     transmission,
 )
-from .tableio import checked_axis, write_table
+from .tableio import checked_axis, finite, write_table
 
 # T_b values below this are clamped for dB reporting and flagged saturated.
 CONTRAST_FLOOR = 1e-12
@@ -60,9 +58,6 @@ ZERO_TB_ACCEPT = 1e-8
 
 # Every zero found or reported re-evaluates below this backward transmission.
 ZERO_TB_TARGET = 1e-10
-
-# Contour ridge extraction threshold on the refined backward minimum.
-RIDGE_THRESHOLD = 1e-6
 
 # A resultant root reading T_b above this is no zero (the spurious roots
 # of its ill-conditioned top coefficients read T_b ~ 1); one between
@@ -77,6 +72,9 @@ _REAL_ROOT_TOL = 1e-6
 _SCAN_POINTS = 48
 
 CONTOUR_COLUMNS = ("kappa_ex", "delta12", "delta_c", "t_fwd", "t_bwd", "contrast_db", "saturated")
+
+# the zeros of T_b at one coupling, each with its re-evaluated T_b
+_Zeros = list[tuple[IsolationPoint, float]]
 
 
 @dataclass(frozen=True)
@@ -102,9 +100,10 @@ class ContourData:
     """Contrast and transmission over a (kappa_ex, delta12) grid.
 
     delta_c holds the per-node backward-dip detuning. zero_tb_rows holds
-    the export rows, in the contour schema, of the points where the
-    refined backward minimum of a kappa_ex column falls below the ridge
-    threshold; its first two columns are the (kappa_ex, delta12) trace.
+    the export rows, in the contour schema, of every zero of backward
+    transmission at a kappa_ex of the axis whose delta12 lies within the
+    delta12 axis: none, one or more per kappa_ex, ordered by delta12. Its
+    first two columns are the (kappa_ex, delta12) trace.
     """
 
     kappa_ex: np.ndarray
@@ -155,30 +154,13 @@ def _decays(params: SystemParams) -> np.ndarray:
     return np.stack([decay_matrix(params), _backward_decay(params)])
 
 
-def _tb_factors(params: SystemParams) -> list[tuple[complex, complex]]:
-    """Zero-pole pairs (z_k, p_k) of t_b(Delta) = i*prod (Delta - z_k)/(Delta - p_k).
-
-    The pairing is arbitrary: only the whole product is meaningful.
-    """
-    poles, zeros = _tb_poles_zeros(coupling_matrix(params), _decays(params))
-    return list(zip(zeros.tolist(), poles.tolist()))
-
-
-def _tb_rational(factors: list[tuple[complex, complex]], delta_c: float) -> float:
-    """Backward transmission |prod (Delta - z_k)/(Delta - p_k)|**2 at Delta = delta_c."""
-    # a numpy scalar would route every complex operation through numpy
-    delta_c, ratio = float(delta_c), 1.0
-    for zero, pole in factors:
-        ratio *= (delta_c - zero) / (delta_c - pole)
-    return abs(ratio) ** 2
-
-
 def _tb_rational_array(zeros: np.ndarray, poles: np.ndarray, delta_c: np.ndarray) -> np.ndarray:
-    """_tb_rational per row of zeros and poles (n, 4) at delta_c (n,), bit for bit.
+    """Backward transmission |prod (Delta - z_k)/(Delta - p_k)|**2 per row at Delta = delta_c.
 
-    CPython's complex arithmetic is repeated in real operations: the
-    quotient divides through by the larger part of the denominator, as
-    _Py_c_quot does and numpy's complex division does not, the product is
+    zeros and poles are (n, 4), delta_c is (n,). CPython's complex
+    arithmetic is repeated in real operations, which keeps every sweep's
+    dips digit for digit: the quotient divides through by the larger part
+    of the denominator (_Py_c_quot, unlike numpy), the product is
     _Py_c_prod's, abs is hypot, and the square is Python's pow, which
     differs from numpy's x*x in the last bit.
     """
@@ -197,73 +179,14 @@ def _tb_rational_array(zeros: np.ndarray, poles: np.ndarray, delta_c: np.ndarray
     return np.array([v**2 for v in np.hypot(re, im).tolist()])
 
 
-def _bounded_brent(func, lo: float, hi: float, xatol: float) -> tuple[float, float]:
-    """Minimum (x, f) of func on [lo, hi]: scipy's bounded Brent search on plain floats.
-
-    A line-for-line port of minimize_scalar(method="bounded") (Brent 1973,
-    ch. 5) with the same constants, steps and 500-evaluation cap, so it
-    returns scipy's res.x and res.fun bit for bit, without the wrapper's
-    numpy scalars and result object.
-    """
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError("Optimization bounds must be finite scalars.")
-    if lo > hi:
-        raise ValueError("The lower bound exceeds the upper bound.")
-    sqrt_eps, golden_mean = math.sqrt(2.2e-16), 0.5 * (3.0 - math.sqrt(5.0))
-    a, b = lo, hi
-    fulc = nfc = xf = a + golden_mean * (b - a)
-    rat = e = 0.0
-    ffulc = fnfc = fx = func(xf)
-    num = 1
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-    while num < 500 and abs(xf - xm) > tol2 - 0.5 * (b - a):
-        golden = True
-        if abs(e) > tol1:  # try a parabola through the three best points
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r, e = e, rat
-            golden = not (abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf))
-            if not golden:
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if x - a < tol2 or b - x < tol2:
-                    rat = tol1 if xm >= xf else -tol1
-        if golden:
-            e = a - xf if xf >= xm else b - xf
-            rat = golden_mean * e
-        # the sign of rat with 0 mapped to +1, as scipy's np.sign(rat) + (rat == 0)
-        x = xf + (1.0 if rat >= 0 else -1.0) * max(abs(rat), tol1)
-        fu = func(x)
-        num += 1
-        if fu <= fx:
-            a, b = (xf, b) if x >= xf else (a, xf)
-            fulc, ffulc, nfc, fnfc, xf, fx = nfc, fnfc, xf, fx, x, fu
-        else:
-            a, b = (x, b) if x < xf else (a, x)
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc, nfc, fnfc = nfc, fnfc, x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-    return xf, fx
-
-
 def _bounded_brent_array(func, lo, hi, xatol: float) -> tuple[np.ndarray, np.ndarray]:
-    """_bounded_brent over arrays of brackets [lo, hi], in lockstep.
+    """Minima (x, f) of func on arrays of brackets [lo, hi], searched in lockstep.
 
-    func(x, idx) returns the objective of element idx[k] at x[k]. Every
-    element takes the scalar driver's steps under its own stopping test,
-    so it returns the same (x, f) bit for bit; an element that has stopped
-    is no longer evaluated.
+    The search is scipy's bounded Brent method, minimize_scalar(
+    method="bounded") (Brent 1973, ch. 5), ported with the same constants,
+    steps and 500-evaluation cap, so every element returns scipy's res.x
+    and res.fun bit for bit. func(x, idx) returns the objective of element
+    idx[k] at x[k]; an element that has stopped is no longer evaluated.
     """
     sqrt_eps, golden_mean = math.sqrt(2.2e-16), 0.5 * (3.0 - math.sqrt(5.0))
     a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
@@ -271,7 +194,7 @@ def _bounded_brent_array(func, lo, hi, xatol: float) -> tuple[np.ndarray, np.nda
     live = np.arange(a.size)
     fx = func(xf, live)
     zero = np.zeros_like(a)
-    # one row per variable of _bounded_brent, one column per element
+    # one row per variable of scipy's driver, one column per element
     state = np.stack([a, b, xf, fx, xf, fx, xf, fx, zero, zero, zero + 1.0])
     while live.size:
         a, b, xf, fx, nfc, fnfc, fulc, ffulc, rat, e, num = state[:, live]
@@ -371,259 +294,25 @@ def _pick_dip(brackets, minima) -> float | None:
     return min(results)[3] if results else None
 
 
-def cavity_dip_detuning(params: SystemParams) -> float:
-    """Detuning of the backward-transmission dip used for contour sweeps.
+def cavity_dip_detuning(params_fixed: SystemParams, kappa_ex, delta12) -> np.ndarray:
+    """Backward-transmission dip detuning at every node of a (kappa_ex, delta12) grid.
 
     Dips sit at the polariton eigen-detunings, so each non-positive
     eigenvalue seeds a bounded one-dimensional minimization of T_b (the
     relevant branch has negative detuning, matching the sign of the
     ideal-case operating point). T_b is read from the pole-zero form of
-    the backward amplitude, factored once per call, so a search step costs
-    a product of four ratios instead of a 4x4 solve, and the search is
-    scipy's bounded Brent method on plain floats (_bounded_brent), which
-    finds the same minimum bit for bit. Among the bracketed interior
-    minima the deepest one is returned; ties fall to the candidate whose
-    eigenvector has the larger photonic weight. Raises NoDipError when
-    every local search escapes its bracket.
+    the backward amplitude, the poles and zeros of every node one stacked
+    eigvals, and one lockstep port of scipy's bounded Brent search runs
+    over every candidate bracket of every node. A node's dip is its
+    deepest interior minimum; ties fall to the candidate whose eigenvector
+    has the larger photonic weight. The result has the shape
+    (kappa_ex, delta12), NaN where every local search escapes its bracket.
     """
-    brackets = _dip_brackets(_dip_runs(*polariton_modes(params)), params.kappa, params.gamma)
-    factors = _tb_factors(params)
-    minima = [
-        _bounded_brent(lambda dc: _tb_rational(factors, dc), lo, hi, 1e-8)
-        for _, _, lo, hi in brackets
-    ]
-    dip = _pick_dip(brackets, minima)
-    if dip is None:
-        raise NoDipError("no interior backward-transmission minimum found for %r" % (params,))
-    return dip
-
-
-def _minimize_tb(params, seed):
-    """Polish a near-zero of T_b over (delta12, delta_c) by two simplex passes.
-
-    The second pass restarts from the first's best point with a fresh
-    simplex and tighter tolerances; neither can end above its start.
-    Returns T_b, the point, and the number of T_b evaluations spent.
-    """
-    x, evaluations = np.asarray(seed, dtype=float), 0
-    for xatol, fatol, maxiter in ((1e-9, 1e-18, 250), (1e-11, 1e-22, 400)):
-        options = {"xatol": xatol, "fatol": fatol, "maxiter": maxiter}
-        res = minimize(lambda y: _tb(params, y[0], y[1]), x, method="Nelder-Mead", options=options)
-        x, evaluations = res.x, evaluations + res.nfev
-    return float(res.fun), (float(x[0]), float(x[1])), evaluations
-
-
-def _tb_zeros(params: SystemParams) -> tuple[list[IsolationPoint], int]:
-    """Every real zero (delta12, delta_c) of T_b at the couplings of params.
-
-    D(Delta, delta12) = det(Delta*I + N0(delta12) - i*Gamma_b) is
-    interpolated exactly at scaled roots of unity, five in Delta and three
-    in delta12, so its coefficients come from one 2-D FFT. For real
-    arguments D = 0 means Re D = Im D = 0, two quadratics in delta12 whose
-    resultant is a polynomial in Delta; each real root gives delta12 as
-    the near-real root of D(Delta, .). Returns the zeros, each at
-    T_b <= ZERO_TB_TARGET, and the count of one resultant solve plus the
-    polishing evaluations.
-    """
-    scale = max(params.g0, params.kappa, params.h, params.gamma)
-    gamma_b = _backward_decay(params)
-    x = scale * np.exp(2j * np.pi * np.arange(5) / 5)[:, None, None, None]
-    y = scale * np.exp(2j * np.pi * np.arange(3) / 3)[None, :, None, None]
-    n0 = coupling_matrix(replace(params, delta12=0.0))
-    split = coupling_matrix(replace(params, delta12=1.0)) - n0
-    matrices = n0 - 1j * gamma_b + x * np.eye(4) + y * split
-    # coef[k, j] multiplies (Delta/scale)**k * (delta12/scale)**j
-    coef = np.fft.fft2(np.linalg.det(matrices)) / (15 * scale**4)
-    re, im = coef.real.T, coef.imag.T
-
-    def cross(i, j):
-        return P.polysub(P.polymul(re[i], im[j]), P.polymul(re[j], im[i]))
-
-    # resultant of re[2] v^2 + re[1] v + re[0] and im[2] v^2 + im[1] v + im[0]
-    resultant = P.polysub(P.polymul(cross(2, 0), cross(2, 0)), P.polymul(cross(2, 1), cross(1, 0)))
-
-    zeros, evaluations = [], 1
-    for u in P.polyroots(resultant):
-        if abs(u.imag) > _REAL_ROOT_TOL * max(1.0, abs(u)):
-            continue
-        v = P.polyroots(P.polyval(u.real, coef))
-        point = (scale * v[np.argmin(np.abs(v.imag))].real, scale * u.real)
-        tb = _tb(params, *point)
-        if tb > _POLISH_BELOW:
-            continue
-        if tb > ZERO_TB_TARGET:
-            tb, point, spent = _minimize_tb(params, point)
-            evaluations += spent
-            if tb > ZERO_TB_TARGET:
-                continue
-        zeros.append(IsolationPoint(params.kappa_ex, point[0], point[1], _tf(params, *point)))
-    return zeros, evaluations
-
-
-def _follow(zeros: list[IsolationPoint], ref: IsolationPoint | None) -> IsolationPoint:
-    """The zero nearest ref in (delta12, delta_c).
-
-    With nothing to follow, the most transmissive zero with delta_c <= 0,
-    the branch cavity_dip_detuning reports.
-    """
-    if ref is None:
-        return max(zeros, key=lambda z: (z.delta_c <= 0, z.t_fwd_predicted))
-    return min(zeros, key=lambda z: math.hypot(z.delta12 - ref.delta12, z.delta_c - ref.delta_c))
-
-
-def trace_zero_tb_line(
-    params_fixed: SystemParams,
-    kappa_ex_range: tuple[float, float],
-    n_points: int,
-    seed: IsolationPoint | None = None,
-) -> list[IsolationPoint]:
-    """Zero-backward-transmission line over a range of waveguide couplings.
-
-    Each sample takes the exact zero set at its coupling and keeps the
-    zero nearest the previous sample's point. Samples are visited outward
-    from the one nearest seed.kappa_ex, which keeps the zero nearest seed;
-    without a seed they run upward from the first, which keeps the most
-    transmissive zero of non-positive detuning. Points re-evaluate at
-    T_b <= 1e-10. Raises ContinuationError listing the samples that admit
-    no zero; the error carries the successful points for callers that
-    want partial traces.
-    """
-    lo, hi = float(kappa_ex_range[0]), float(kappa_ex_range[1])
-    if not (lo <= hi):
-        raise ValidationError("kappa_ex range must satisfy lo <= hi")
-    if lo <= params_fixed.kappa_i:
-        raise ValidationError("zero-backward tracing requires kappa_ex > kappa_i over the range")
-    if n_points < 1:
-        raise ValidationError("n_points must be >= 1")
-    samples = np.linspace(lo, hi, n_points)
-    start = 0 if seed is None else int(np.argmin(np.abs(samples - seed.kappa_ex)))
-
-    found: dict[int, IsolationPoint] = {}
-    failures: list[float] = []
-    for walk in (range(start, n_points), range(start - 1, -1, -1)):
-        ref = found.get(start, seed)
-        for idx in walk:
-            zeros, _ = _tb_zeros(replace(params_fixed, kappa_ex=float(samples[idx])))
-            if zeros:
-                ref = found[idx] = _follow(zeros, ref)
-            else:
-                failures.append(float(samples[idx]))
-
-    points = [found[idx] for idx in sorted(found)]
-    if failures:
-        failures.sort()
-        raise ContinuationError(
-            "no zero-backward-transmission point at kappa_ex = %s"
-            % ", ".join("%g" % k for k in failures),
-            failed_kappa_ex=failures,
-            points=points,
-        )
-    return points
-
-
-def maximize_contrast(
-    params_fixed: SystemParams, fixed_delta12: float | None = None
-) -> OptimizationResult:
-    """Operating point of maximal isolation contrast at zero T_b.
-
-    The objective at one coupling is the best forward transmission among
-    that coupling's exact zeros. A logarithmic scan over
-    (kappa_i, kappa_i + 1.05*(gamma/2 + 10*max(g0, gamma))] brackets its
-    local maxima, each is refined by a bounded one-dimensional search,
-    and the best point, in the positive-splitting convention, is polished
-    before it is reported. kappa_ex and delta12 of params_fixed are
-    ignored (they are being optimized); g0, gamma, kappa_i, h, p, theta
-    are treated as fixed hardware.
-
-    With fixed_delta12 given, no search runs: the result reports the
-    contrast at the backward dip for that splitting (identically 0 dB at
-    zero splitting, where transmission is reciprocal by symmetry).
-    """
-    if fixed_delta12 is not None:
-        params = replace(params_fixed, delta12=float(fixed_delta12))
-        dc = cavity_dip_detuning(params)
-        tf = transmission(params, DriveSpec("forward", dc))
-        # transmission is exactly reciprocal at zero splitting; reuse the
-        # forward value instead of resolving to keep the symmetry exact
-        tb = tf if params.delta12 == 0 else transmission(params, DriveSpec("backward", dc))
-        return OptimizationResult(
-            kappa_ex=params.kappa_ex,
-            delta12=params.delta12,
-            delta_c=dc,
-            t_fwd=tf,
-            t_bwd=tb,
-            contrast_db=contrast_db(tf, tb),
-            iterations=0,
-            converged=bool(tb <= ZERO_TB_ACCEPT),
-        )
-
-    if params_fixed.g0 <= 0:
-        raise ValidationError("contrast maximization requires g0 > 0")
-    gamma = params_fixed.gamma
-    dk_hi = gamma / 2.0 + 10.0 * max(params_fixed.g0, gamma)
-    # the best T_f can peak in the narrow window just above kappa_i and
-    # again at large couplings, so the scan is logarithmic in kappa_ex - kappa_i
-    scan = params_fixed.kappa_i + np.geomspace(1e-6 * gamma, 1.05 * dk_hi, _SCAN_POINTS)
-
-    best: dict[float, IsolationPoint] = {}
-    evaluations = 0
-
-    def negative_tf(kex):
-        nonlocal evaluations
-        zeros, spent = _tb_zeros(replace(params_fixed, kappa_ex=float(kex)))
-        evaluations += spent
-        if not zeros:
-            return 0.0
-        best[float(kex)] = max(zeros, key=lambda z: z.t_fwd_predicted)
-        return -best[float(kex)].t_fwd_predicted
-
-    values = [negative_tf(kex) for kex in scan]
-    if not best:
-        raise ContinuationError(
-            "no zero-backward-transmission point over the coupling scan; cannot maximize contrast",
-            failed_kappa_ex=[float(k) for k in scan],
-        )
-    for i, value in enumerate(values):
-        lo, hi = max(i - 1, 0), min(i + 1, _SCAN_POINTS - 1)
-        if value < 0 and value <= min(values[lo], values[hi]):
-            bounds = (scan[lo], scan[hi])
-            # the result is read from best, where negative_tf records every visit
-            minimize_scalar(negative_tf, bounds=bounds, method="bounded", options={"xatol": 1e-6})
-
-    point = max(best.values(), key=lambda z: z.t_fwd_predicted)
-    params = replace(params_fixed, kappa_ex=point.kappa_ex)
-    sol = (point.delta12, point.delta_c)
-    if sol[0] < 0 and _tb(params, -sol[0], -sol[1]) <= ZERO_TB_TARGET:
-        # the sign-flipped point is gauge-equivalent when it is also a
-        # zero; prefer the positive-splitting convention
-        sol = (-sol[0], -sol[1])
-    # polished always, so convergence does not hinge on the root's conditioning
-    tb, sol, spent = _minimize_tb(params, sol)
-    tf = _tf(params, sol[0], sol[1])
-    return OptimizationResult(
-        kappa_ex=point.kappa_ex,
-        delta12=sol[0],
-        delta_c=sol[1],
-        t_fwd=tf,
-        t_bwd=tb,
-        contrast_db=contrast_db(tf, tb),
-        iterations=evaluations + spent,
-        converged=bool(tb <= ZERO_TB_TARGET),
-    )
-
-
-def _grid_dips(kex_params, d12_params, n0: np.ndarray, decays: np.ndarray) -> np.ndarray:
-    """cavity_dip_detuning at every node of a grid, NaN where it finds no dip.
-
-    kex_params and d12_params hold the hardware at each kappa_ex and each
-    delta12 of the axes, n0 their N0 per delta12 and decays their _decays
-    per kappa_ex. N0 does not depend on kappa_ex, so the polariton modes
-    are taken once per delta12; the poles and zeros of every node are one
-    stacked eigvals, and one lockstep Brent search runs over every
-    candidate bracket. Each node finds cavity_dip_detuning's dip bit for
-    bit.
-    """
+    kex_params = [replace(params_fixed, kappa_ex=float(k)) for k in kappa_ex]
+    d12_params = [replace(params_fixed, delta12=float(d)) for d in delta12]
     runs = [_dip_runs(*polariton_modes(p)) for p in d12_params]
+    n0 = np.stack([coupling_matrix(p) for p in d12_params])
+    decays = np.stack([_decays(p) for p in kex_params])
     poles, zeros = _tb_poles_zeros(n0, decays[:, None])
 
     brackets = [[_dip_brackets(r, p.kappa, p.gamma) for r in runs] for p in kex_params]
@@ -651,6 +340,21 @@ def _grid_dips(kex_params, d12_params, n0: np.ndarray, decays: np.ndarray) -> np
     return dips
 
 
+def _minimize_tb(params, seed):
+    """Polish a near-zero of T_b over (delta12, delta_c) by two simplex passes.
+
+    The second pass restarts from the first's best point with a fresh
+    simplex and tighter tolerances; neither can end above its start.
+    Returns T_b, the point, and the number of T_b evaluations spent.
+    """
+    x, evaluations = np.asarray(seed, dtype=float), 0
+    for xatol, fatol, maxiter in ((1e-9, 1e-18, 250), (1e-11, 1e-22, 400)):
+        options = {"xatol": xatol, "fatol": fatol, "maxiter": maxiter}
+        res = minimize(lambda y: _tb(params, y[0], y[1]), x, method="Nelder-Mead", options=options)
+        x, evaluations = res.x, evaluations + res.nfev
+    return float(res.fun), (float(x[0]), float(x[1])), evaluations
+
+
 def _driven_amplitudes(matrices: np.ndarray, port: int) -> np.ndarray:
     """Amplitude of the driven mode of each system, driven at port; NaN where its gate fails.
 
@@ -670,50 +374,278 @@ def _driven_amplitudes(matrices: np.ndarray, port: int) -> np.ndarray:
     return own
 
 
-def sweep_grid(
-    params_fixed: SystemParams, kappa_ex_axis, delta12_axis
-) -> ContourData:
-    """Contrast and transmissions over a (kappa_ex, delta12) grid.
+def _polymul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Products of the polynomials in the rows of a and b, lowest degree first."""
+    out = np.zeros((len(a), a.shape[1] + b.shape[1] - 1))
+    for i in range(a.shape[1]):
+        out[:, i : i + b.shape[1]] += a[:, i, None] * b
+    return out
 
-    At each node the operating detuning is set to the backward dip and
-    the contrast evaluated there. The nodes are one batched pass
-    (_grid_dips) followed by one stacked 4x4 solve per direction at the
-    dips, and give the values of cavity_dip_detuning and transmission
-    node by node, bit for bit. A node without a dip, or whose solve fails
-    its gate, is marked NaN. The zero-T_b ridge is extracted per kappa_ex
-    column by a scalar bounded search over the best node's splitting,
-    each step a cavity_dip_detuning and a backward solve; the search
-    returns a splitting it evaluated, so a refined point costs one more
-    forward solve. Refined points below the ridge threshold form the trace.
+
+def _polyroots(c: np.ndarray) -> list[np.ndarray]:
+    """P.polyroots of each row of c, as one stacked eigvals of its companion matrices.
+
+    The companion matrices are those of P.polyroots, so each row's roots
+    equal its own call's. A row whose top coefficient vanishes, or whose
+    companion overflows, goes through P.polyroots, which trims it.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratio = c[:, :-1] / c[:, -1:]
+    stacked = np.isfinite(ratio).all(axis=1)
+    n = c.shape[1] - 1
+    companion = np.zeros((int(stacked.sum()), n, n), dtype=c.dtype)
+    companion[:, np.arange(1, n), np.arange(n - 1)] = 1
+    companion[:, :, -1] -= ratio[stacked]
+    values = iter(np.sort(np.linalg.eigvals(companion[:, ::-1, ::-1]), axis=-1))
+    return [next(values) if ok else P.polyroots(row) for ok, row in zip(stacked.tolist(), c)]
+
+
+def _tb_zeros(params: SystemParams, kappa_ex) -> tuple[list[_Zeros], int]:
+    """Every real zero (delta12, delta_c) of T_b at each coupling of kappa_ex.
+
+    D(Delta, delta12) = det(Delta*I + N0(delta12) - i*Gamma_b) is
+    interpolated exactly at scaled roots of unity, five in Delta and three
+    in delta12, so its coefficients come from one 2-D FFT. For real
+    arguments D = 0 means Re D = Im D = 0, two quadratics in delta12 whose
+    resultant is a polynomial in Delta; each real root gives delta12 as
+    the near-real root of D(Delta, .). Each step is stacked over the
+    couplings, and gives each coupling the numbers of its own call bit
+    for bit. The roots are re-evaluated by one stacked solve per
+    direction; one missing ZERO_TB_TARGET is polished on its own. Returns
+    per coupling its zeros, by ascending delta_c, each with its T_b, and
+    the count of resultant solves plus polishing evaluations.
+    """
+    hardware = [replace(params, kappa_ex=float(k)) for k in kappa_ex]
+    scale = np.array([max(p.g0, p.kappa, p.h, p.gamma) for p in hardware])
+    gamma_b = np.stack([_backward_decay(p) for p in hardware])[:, None, None]
+    s = scale[:, None, None, None, None]
+    x = s * np.exp(2j * np.pi * np.arange(5) / 5)[:, None, None, None]
+    y = s * np.exp(2j * np.pi * np.arange(3) / 3)[None, :, None, None]
+    n0 = coupling_matrix(replace(params, delta12=0.0))
+    split = coupling_matrix(replace(params, delta12=1.0)) - n0
+    matrices = n0 - 1j * gamma_b + x * np.eye(4) + y * split
+    # coef[m, k, j] multiplies (Delta/scale)**k * (delta12/scale)**j
+    divisor = np.array([15 * v**4 for v in scale.tolist()])[:, None, None]
+    coef = np.fft.fft2(np.linalg.det(matrices)) / divisor
+    re, im = coef.real.transpose(0, 2, 1), coef.imag.transpose(0, 2, 1)
+
+    def cross(i, j):
+        return _polymul(re[:, i], im[:, j]) - _polymul(re[:, j], im[:, i])
+
+    # resultant of re[2] v^2 + re[1] v + re[0] and im[2] v^2 + im[1] v + im[0]
+    resultant = _polymul(cross(2, 0), cross(2, 0)) - _polymul(cross(2, 1), cross(1, 0))
+
+    roots = _polyroots(resultant)
+    real = [r[np.abs(r.imag) <= _REAL_ROOT_TOL * np.maximum(1.0, np.abs(r))].real for r in roots]
+    which, u = np.repeat(np.arange(len(real)), [r.size for r in real]), np.concatenate(real)
+    # D(u, .) at each real root, by Horner's rule as P.polyval
+    quadratic = coef[which, -1] + u[:, None] * 0
+    for k in range(2, coef.shape[1] + 1):
+        quadratic = coef[which, -k] + quadratic * u[:, None]
+    v = [r[np.argmin(np.abs(r.imag))].real for r in _polyroots(quadratic)]
+    delta12, delta_c = scale[which] * np.array(v), scale[which] * u
+
+    # N0(delta12) equals coupling_matrix's bit for bit: split is 0 or +-1/2
+    n0 = n0 + delta12[:, None, None] * split
+    decay = np.stack([decay_matrix(p) for p in hardware])[which]
+    systems = _system_matrix(n0, decay, delta_c[:, None, None])
+    own = _driven_amplitudes(systems, 1)
+    tb = [_transmitted(hardware[m], a) for m, a in zip(which.tolist(), own)]
+    hit = np.array(tb) <= ZERO_TB_TARGET
+    own_fwd = iter(_driven_amplitudes(systems[hit], 0))
+
+    zeros: list[_Zeros] = [[] for _ in hardware]
+    evaluations = len(hardware)
+    for m, point, t_b, ok in zip(which.tolist(), zip(delta12.tolist(), delta_c.tolist()), tb, hit):
+        params_m = hardware[m]
+        if not ok:
+            if not t_b <= _POLISH_BELOW:
+                continue
+            t_b, point, spent = _minimize_tb(params_m, point)
+            evaluations += spent
+            if not t_b <= ZERO_TB_TARGET:
+                continue
+        t_f = _transmitted(params_m, next(own_fwd)) if ok else _tf(params_m, *point)
+        if math.isfinite(t_f):
+            zeros[m].append((IsolationPoint(params_m.kappa_ex, *point, t_f), t_b))
+    return zeros, evaluations
+
+
+def _follow(zeros: list[IsolationPoint], ref: IsolationPoint | None) -> IsolationPoint:
+    """The zero nearest ref in (delta12, delta_c).
+
+    With nothing to follow, the most transmissive zero with delta_c <= 0,
+    the branch cavity_dip_detuning reports.
+    """
+    if ref is None:
+        return max(zeros, key=lambda z: (z.delta_c <= 0, z.t_fwd_predicted))
+    return min(zeros, key=lambda z: math.hypot(z.delta12 - ref.delta12, z.delta_c - ref.delta_c))
+
+
+def trace_zero_tb_line(
+    params_fixed: SystemParams,
+    kappa_ex_range: tuple[float, float],
+    n_points: int,
+    seed: IsolationPoint | None = None,
+) -> list[IsolationPoint]:
+    """Zero-backward-transmission line over a range of waveguide couplings.
+
+    The exact zero sets of all samples are one _tb_zeros call; each sample
+    then keeps the zero nearest the previous sample's point. Samples are
+    visited outward from the one nearest seed.kappa_ex, which keeps the
+    zero nearest seed; without a seed they run upward from the first,
+    which keeps the most transmissive zero of non-positive detuning.
+    Points re-evaluate at T_b <= 1e-10. Raises ContinuationError listing
+    the samples that admit no zero; the error carries the successful
+    points for callers that want partial traces.
+    """
+    lo, hi = kappa_ex_range
+    if not (finite(lo) and finite(hi)):
+        raise ValidationError("kappa_ex_range ends must be finite real numbers")
+    lo, hi = float(lo), float(hi)
+    if not (lo <= hi):
+        raise ValidationError("kappa_ex range must satisfy lo <= hi")
+    if lo <= params_fixed.kappa_i:
+        raise ValidationError("zero-backward tracing requires kappa_ex > kappa_i over the range")
+    if isinstance(n_points, bool) or not isinstance(n_points, (int, np.integer)):
+        raise ValidationError("n_points must be an integer")
+    if n_points < 1:
+        raise ValidationError("n_points must be >= 1")
+    samples = np.linspace(lo, hi, n_points)
+    start = 0 if seed is None else int(np.argmin(np.abs(samples - seed.kappa_ex)))
+    zeros, _ = _tb_zeros(params_fixed, samples)
+
+    found: dict[int, IsolationPoint] = {}
+    failures: list[float] = []
+    for walk in (range(start, n_points), range(start - 1, -1, -1)):
+        ref = found.get(start, seed)
+        for idx in walk:
+            if zeros[idx]:
+                ref = found[idx] = _follow([z for z, _ in zeros[idx]], ref)
+            else:
+                failures.append(float(samples[idx]))
+
+    points = [found[idx] for idx in sorted(found)]
+    if failures:
+        failures.sort()
+        raise ContinuationError(
+            "no zero-backward-transmission point at kappa_ex = %s"
+            % ", ".join("%g" % k for k in failures),
+            failed_kappa_ex=failures,
+            points=points,
+        )
+    return points
+
+
+def maximize_contrast(
+    params_fixed: SystemParams, fixed_delta12: float | None = None
+) -> OptimizationResult:
+    """Operating point of maximal isolation contrast at zero T_b.
+
+    The objective at one coupling is the best forward transmission among
+    that coupling's exact zeros. A logarithmic scan over
+    (kappa_i, kappa_i + 1.05*(gamma/2 + 10*max(g0, gamma))], one _tb_zeros
+    call, brackets its local maxima, each is refined by a bounded
+    one-dimensional search, and the best point, in the positive-splitting
+    convention, is polished before it is reported. kappa_ex and delta12
+    of params_fixed are ignored (they are being optimized); g0, gamma,
+    kappa_i, h, p, theta are treated as fixed hardware.
+
+    With fixed_delta12 given, a finite number, no search runs: the result
+    reports the contrast at the backward dip for that splitting
+    (identically 0 dB at zero splitting, where transmission is reciprocal
+    by symmetry). Raises NoDipError when that splitting has no dip.
+    """
+    if fixed_delta12 is not None:
+        if not finite(fixed_delta12):
+            raise ValidationError("fixed_delta12 must be None or a finite number")
+        params = replace(params_fixed, delta12=float(fixed_delta12))
+        dc = cavity_dip_detuning(params, [params.kappa_ex], [params.delta12]).item()
+        if math.isnan(dc):
+            raise NoDipError("no interior backward-transmission minimum found for %r" % (params,))
+        tf = transmission(params, DriveSpec("forward", dc))
+        # transmission is exactly reciprocal at zero splitting; reuse the
+        # forward value instead of resolving to keep the symmetry exact
+        tb = tf if params.delta12 == 0 else transmission(params, DriveSpec("backward", dc))
+        result = (params.kappa_ex, params.delta12, dc, tf, tb, contrast_db(tf, tb), 0)
+        return OptimizationResult(*result, converged=bool(tb <= ZERO_TB_ACCEPT))
+
+    if params_fixed.g0 <= 0:
+        raise ValidationError("contrast maximization requires g0 > 0")
+    gamma = params_fixed.gamma
+    dk_hi = gamma / 2.0 + 10.0 * max(params_fixed.g0, gamma)
+    # the best T_f can peak in the narrow window just above kappa_i and
+    # again at large couplings, so the scan is logarithmic in kappa_ex - kappa_i
+    scan = params_fixed.kappa_i + np.geomspace(1e-6 * gamma, 1.05 * dk_hi, _SCAN_POINTS)
+
+    best: dict[float, IsolationPoint] = {}
+    evaluations = 0
+
+    def negative_tf(kappa_ex: list[float]) -> list[float]:
+        nonlocal evaluations
+        zeros, spent = _tb_zeros(params_fixed, kappa_ex)
+        evaluations += spent
+        for kex, found in zip(kappa_ex, zeros):
+            if found:
+                best[kex] = max((z for z, _ in found), key=lambda z: z.t_fwd_predicted)
+        return [-best[kex].t_fwd_predicted if found else 0.0 for kex, found in zip(kappa_ex, zeros)]
+
+    values = negative_tf(scan.tolist())
+    if not best:
+        raise ContinuationError(
+            "no zero-backward-transmission point over the coupling scan; cannot maximize contrast",
+            failed_kappa_ex=scan.tolist(),
+        )
+    for i, value in enumerate(values):
+        lo, hi = max(i - 1, 0), min(i + 1, _SCAN_POINTS - 1)
+        if value < 0 and value <= min(values[lo], values[hi]):
+            # the result is read from best, where negative_tf records every visit
+            minimize_scalar(
+                lambda kex: negative_tf([float(kex)])[0],
+                bounds=(scan[lo], scan[hi]),
+                method="bounded",
+                options={"xatol": 1e-6},
+            )
+
+    point = max(best.values(), key=lambda z: z.t_fwd_predicted)
+    params = replace(params_fixed, kappa_ex=point.kappa_ex)
+    sol = (point.delta12, point.delta_c)
+    if sol[0] < 0 and _tb(params, -sol[0], -sol[1]) <= ZERO_TB_TARGET:
+        # the sign-flipped point is gauge-equivalent when it is also a
+        # zero; prefer the positive-splitting convention
+        sol = (-sol[0], -sol[1])
+    # polished always, so convergence does not hinge on the root's conditioning
+    tb, sol, spent = _minimize_tb(params, sol)
+    tf = _tf(params, sol[0], sol[1])
+    result = (point.kappa_ex, *sol, tf, tb, contrast_db(tf, tb), evaluations + spent)
+    return OptimizationResult(*result, converged=bool(tb <= ZERO_TB_TARGET))
+
+
+def sweep_grid(params_fixed: SystemParams, kappa_ex_axis, delta12_axis) -> ContourData:
+    """Contrast and transmissions over a (kappa_ex, delta12) grid, and its zero trace.
+
+    At each node the operating detuning is set to the backward dip, one
+    cavity_dip_detuning call for the whole grid, and the contrast is
+    evaluated there by one stacked 4x4 solve per direction. A node without
+    a dip, or whose solve fails its gate, is marked NaN. The zero trace is
+    the exact zero set at every kappa_ex of the axis, one _tb_zeros call:
+    each zero whose delta12 lies within the delta12 axis is a row, so a
+    kappa_ex has none, one or more rows, ordered by delta12.
     """
     kex_axis = checked_axis(kappa_ex_axis, "kappa_ex axis")
     d12_axis = checked_axis(delta12_axis, "delta12 axis")
 
-    # (kappa_ex, delta12) -> (params, dip, T_b) of every ridge step
-    seen: dict[tuple[float, float], tuple[SystemParams, float, float]] = {}
-
-    def dip_bwd(kex: float, d12: float) -> float:
-        params = replace(params_fixed, kappa_ex=float(kex), delta12=float(d12))
-        dc = cavity_dip_detuning(params)
-        seen[float(kex), float(d12)] = params, dc, transmission(params, DriveSpec("backward", dc))
-        return seen[float(kex), float(d12)][2]
-
+    dips = cavity_dip_detuning(params_fixed, kex_axis, d12_axis)
     kex_params = [replace(params_fixed, kappa_ex=float(k)) for k in kex_axis]
-    d12_params = [replace(params_fixed, delta12=float(d)) for d in d12_axis]
-    n0 = np.stack([coupling_matrix(p) for p in d12_params])
-    decays = np.stack([_decays(p) for p in kex_params])
-    dips = _grid_dips(kex_params, d12_params, n0, decays)
+    n0 = np.stack([coupling_matrix(replace(params_fixed, delta12=float(d))) for d in d12_axis])
+    decay = np.stack([decay_matrix(p) for p in kex_params])
     ii, jj = np.nonzero(np.isfinite(dips))
-    matrices = _system_matrix(n0[jj], decays[ii, 0], dips[ii, jj][:, None, None])
+    matrices = _system_matrix(n0[jj], decay[ii], dips[ii, jj][:, None, None])
     own_bwd, own_fwd = (_driven_amplitudes(matrices, port) for port in (1, 0))
     ok = np.isfinite(own_bwd) & np.isfinite(own_fwd)
 
-    nk, nd = kex_axis.size, d12_axis.size
-    delta_c = np.full((nk, nd), math.nan)
-    t_fwd = np.full((nk, nd), math.nan)
-    t_bwd = np.full((nk, nd), math.nan)
-    contrast = np.full((nk, nd), math.nan)
-    saturated = np.zeros((nk, nd), dtype=bool)
+    delta_c, t_fwd, t_bwd, contrast = (np.full(dips.shape, math.nan) for _ in range(4))
+    saturated = np.zeros(dips.shape, dtype=bool)
     for i, j, bwd, fwd in zip(ii[ok].tolist(), jj[ok].tolist(), own_bwd[ok], own_fwd[ok]):
         t_bwd[i, j] = _transmitted(kex_params[i], bwd)
         t_fwd[i, j] = _transmitted(kex_params[i], fwd)
@@ -721,36 +653,15 @@ def sweep_grid(
         contrast[i, j] = contrast_db(t_fwd[i, j], t_bwd[i, j])
         saturated[i, j] = t_bwd[i, j] < CONTRAST_FLOOR
 
-    trace_rows = []
-    for i, kex in enumerate(kex_axis):
-        row = t_bwd[i]
-        if np.all(np.isnan(row)):
-            continue
-        j_best = int(np.nanargmin(row))
-        if nd == 1:
-            d12_star = float(d12_axis[0])
-            dip_bwd(kex, d12_star)
-        else:
-            lo = float(d12_axis[max(0, j_best - 1)])
-            hi = float(d12_axis[min(nd - 1, j_best + 1)])
-            lo, hi = min(lo, hi), max(lo, hi)
-            try:
-                res = minimize_scalar(
-                    lambda d12: dip_bwd(kex, d12),
-                    bounds=(lo, hi),
-                    method="bounded",
-                    options={"xatol": 1e-6},
-                )
-            except (NoDipError, SingularSystemError):
-                continue
-            d12_star = float(res.x)
-        params, dc_star, tb_star = seen[float(kex), d12_star]
-        tf_star = transmission(params, DriveSpec("forward", dc_star))
-        if tb_star < RIDGE_THRESHOLD:
-            row = (float(kex), d12_star, dc_star, tf_star, tb_star)
-            trace_rows.append((*row, contrast_db(tf_star, tb_star), tb_star < CONTRAST_FLOOR))
-
-    trace_rows = np.asarray(trace_rows, dtype=float).reshape(-1, 7)
+    d12_lo, d12_hi = sorted((float(d12_axis[0]), float(d12_axis[-1])))
+    zeros, _ = _tb_zeros(params_fixed, kex_axis)
+    trace_rows = [
+        (z.kappa_ex, z.delta12, z.delta_c, z.t_fwd_predicted, tb)
+        + (contrast_db(z.t_fwd_predicted, tb), tb < CONTRAST_FLOOR)
+        for column in zeros
+        for z, tb in sorted(column, key=lambda pair: pair[0].delta12)
+        if d12_lo <= z.delta12 <= d12_hi
+    ]
     return ContourData(
         kappa_ex=kex_axis,
         delta12=d12_axis,
@@ -759,7 +670,7 @@ def sweep_grid(
         t_bwd=t_bwd,
         contrast_db=contrast,
         saturated=saturated,
-        zero_tb_rows=trace_rows,
+        zero_tb_rows=np.asarray(trace_rows, dtype=float).reshape(-1, 7),
     )
 
 
@@ -782,6 +693,6 @@ def save_contour(path, contour: ContourData) -> None:
 
 
 def save_zero_trace(path, contour: ContourData) -> None:
-    """Write the refined zero-T_b trace with the contour schema."""
+    """Write the zero-T_b trace with the contour schema."""
     rows = ((*row[:6], bool(row[6])) for row in contour.zero_tb_rows)
     write_table(path, CONTOUR_COLUMNS, rows)

@@ -387,6 +387,8 @@ def test_malformed_json_reports_position(tmp_path):
         ("validate", "validate", "n_max", None),
         ("validate", "validate", "n_max", True),
         ("validate", "validate", "drive_amp", "x"),
+        ("optimize", "optimize", "fixed_delta12", "x"),
+        ("optimize", "optimize", "fixed_delta12", True),
     ],
 )
 def test_wrong_typed_config_value_exits_2(tmp_path, command, section, key, value):

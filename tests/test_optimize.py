@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -8,18 +9,15 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from ringqed import model, optimize
-from ringqed.analytic import IsolationPoint, isolation_conditions, optimal_coupling
+from ringqed.analytic import IsolationPoint, isolation_conditions, optimal_coupling, polariton_modes
 from ringqed.errors import ContinuationError, NoDipError, SingularSystemError, ValidationError
-from ringqed.model import DriveSpec, SystemParams, steady_state, transmission
+from ringqed.model import DriveSpec, SystemParams, coupling_matrix, steady_state, transmission
 from ringqed.optimize import (
     CONTOUR_COLUMNS,
     CONTRAST_FLOOR,
-    RIDGE_THRESHOLD,
     ZERO_TB_ACCEPT,
-    _bounded_brent,
+    ZERO_TB_TARGET,
     _bounded_brent_array,
-    _tb_factors,
-    _tb_rational,
     _tb_rational_array,
     _tb_zeros,
     cavity_dip_detuning,
@@ -56,22 +54,60 @@ def test_contrast_db_values_and_floor():
 # --- backward dip location ---
 
 
+def dip_at(params):
+    """cavity_dip_detuning on the one node of params."""
+    return cavity_dip_detuning(params, [params.kappa_ex], [params.delta12]).item()
+
+
+def pole_zero(params):
+    """Zeros and poles (4,) of t_b at params."""
+    poles, zeros = optimize._tb_poles_zeros(coupling_matrix(params), optimize._decays(params))
+    return zeros, poles
+
+
+def tb_rational(zeros, poles, delta_c):
+    """|prod (Delta - z_k)/(Delta - p_k)|**2 in Python's complex arithmetic."""
+    # a numpy scalar would route every complex operation through numpy
+    delta_c, ratio = float(delta_c), 1.0
+    for zero, pole in zip(zeros.tolist(), poles.tolist()):
+        ratio *= (delta_c - zero) / (delta_c - pole)
+    return abs(ratio) ** 2
+
+
+def scipy_dip(params):
+    """The dip as scipy's bounded search finds it, one candidate bracket at a time."""
+    runs = optimize._dip_runs(*polariton_modes(params))
+    brackets = optimize._dip_brackets(runs, params.kappa, params.gamma)
+    zeros, poles = pole_zero(params)
+    minima = []
+    for _, _, lo, hi in brackets:
+        res = minimize_scalar(
+            lambda x: tb_rational(zeros, poles, x),
+            bounds=(lo, hi),
+            method="bounded",
+            options={"xatol": 1e-8},
+        )
+        minima.append((res.x, res.fun))
+    dip = optimize._pick_dip(brackets, minima)
+    return math.nan if dip is None else float(dip)
+
+
 def test_dip_matches_closed_form_operating_point():
     d12, dc = isolation_conditions(20.0, 1.0, 5.0, 6.0)
     params = replace(IDEAL, delta12=d12)
-    dip = cavity_dip_detuning(params)
+    dip = dip_at(params)
     assert abs(dip - dc) < 1e-3
     assert backward_at(IDEAL, d12, dip) < 1e-12
 
 
 def test_dip_of_bare_cavity_sits_at_resonance():
     bare = SystemParams(g0=0.0, kappa_i=5.0, kappa_ex=6.0)
-    assert abs(cavity_dip_detuning(bare)) < 1e-6
+    assert abs(dip_at(bare)) < 1e-6
 
 
 def test_dip_regression_with_backscattering():
     params = replace(NONIDEAL, delta12=30.0)
-    assert abs(cavity_dip_detuning(params) - (-12.247764284722717)) < 1e-6
+    assert abs(dip_at(params) - (-12.247764284722717)) < 1e-6
 
 
 def or_corner(corner, values):
@@ -100,17 +136,16 @@ def or_corner(corner, values):
 # reciprocal hardware
 @example(replace(NONIDEAL, delta12=0.0), [-25.0, -12.0, 0.0, 12.0])
 def test_pole_zero_tb_matches_linear_solve(params, detunings):
-    factors = _tb_factors(params)
-    for delta_c in detunings:
-        exact = backward_at(params, params.delta12, delta_c)
-        assert abs(_tb_rational(factors, delta_c) - exact) <= 1e-12
-    # the array form repeats the scalar one bit for bit; numpy's x*x in
-    # place of Python's pow misses about one square in a thousand, so the
-    # comparison runs over a dense grid as well
-    detunings = detunings + np.linspace(-80.0, 80.0, 501).tolist()
-    zeros, poles = (np.tile([pair[k] for pair in factors], (len(detunings), 1)) for k in (0, 1))
-    stacked = _tb_rational_array(zeros, poles, np.array(detunings))
-    assert stacked.tolist() == [_tb_rational(factors, delta_c) for delta_c in detunings]
+    zeros, poles = pole_zero(params)
+    # the array form repeats Python's complex arithmetic bit for bit;
+    # numpy's x*x in place of Python's pow misses about one square in a
+    # thousand, so the comparison runs over a dense grid as well
+    grid = detunings + np.linspace(-80.0, 80.0, 501).tolist()
+    n = len(grid)
+    stacked = _tb_rational_array(np.tile(zeros, (n, 1)), np.tile(poles, (n, 1)), np.array(grid))
+    assert stacked.tolist() == [tb_rational(zeros, poles, delta_c) for delta_c in grid]
+    for delta_c, tb in zip(detunings, stacked):
+        assert abs(tb - backward_at(params, params.delta12, delta_c)) <= 1e-12
 
 
 @settings(max_examples=100)
@@ -127,7 +162,7 @@ def test_pole_zero_tb_matches_linear_solve(params, detunings):
     )
 )
 def test_dip_is_a_local_minimum_of_linear_solve(params):
-    dip = cavity_dip_detuning(params)
+    dip = dip_at(params)
     step = 1e-4 * max(params.kappa, params.gamma)
     at_dip = backward_at(params, params.delta12, dip)
     for neighbour in (dip - step, dip + step):
@@ -138,8 +173,8 @@ def test_dip_is_a_local_minimum_of_linear_solve(params):
 
 
 def tb_objective(params):
-    factors = _tb_factors(params)
-    return lambda x: _tb_rational(factors, x)
+    zeros, poles = pole_zero(params)
+    return lambda x: tb_rational(zeros, poles, x)
 
 
 objectives = st.one_of(
@@ -172,15 +207,13 @@ objectives = st.one_of(
 def test_bounded_brent_equals_scipy_bit_for_bit(func, lo, width, xatol):
     hi = lo + width
     res = minimize_scalar(func, bounds=(lo, hi), method="bounded", options={"xatol": xatol})
-    assert _bounded_brent(func, lo, hi, xatol) == (res.x, res.fun)
 
+    def stacked(x, idx):
+        # one element, its objective evaluated on Python floats as scipy's is
+        return np.array([func(v) for v in x.tolist()])
 
-@pytest.mark.parametrize("bounds", [(1.0, -1.0), (-math.inf, 1.0), (0.0, math.nan)])
-def test_bounded_brent_rejects_bounds_as_scipy_does(bounds):
-    with pytest.raises(ValueError) as expected:
-        minimize_scalar(abs, bounds=bounds, method="bounded")
-    with pytest.raises(ValueError, match=str(expected.value)):
-        _bounded_brent(abs, *bounds, 1e-8)
+    x, f = _bounded_brent_array(stacked, [lo], [hi], xatol)
+    assert (x[0], f[0]) == (res.x, res.fun)
 
 
 # elementwise shapes built from operations that Python floats and numpy
@@ -225,18 +258,16 @@ brent_elements = st.lists(
     ),
     st.sampled_from([1e-8, 1e-6, 1e-3]),
 )
-def test_lockstep_brent_equals_scalar_bit_for_bit(elements, hardware_list, xatol):
+def test_lockstep_brent_equals_scipy_bit_for_bit(elements, hardware_list, xatol):
     # an element without a shape minimizes the pole-zero T_b of one hardware
-    factors = [_tb_factors(params) for params in hardware_list]
-    zeros = np.array([[z for z, _ in f] for f in factors])
-    poles = np.array([[q for _, q in f] for f in factors])
+    zeros, poles = (np.array(f) for f in zip(*(pole_zero(params) for params in hardware_list)))
     shape = [-1 if e[0] is None else e[0] for e in elements]
     c, d, lo, width = (np.array([e[k] for e in elements]) for k in (1, 2, 3, 4))
-    which = np.arange(len(elements)) % len(factors)
+    which = np.arange(len(elements)) % len(hardware_list)
 
     def scalar(k):
         if shape[k] < 0:
-            return lambda x: _tb_rational(factors[which[k]], x)
+            return lambda x: tb_rational(zeros[which[k]], poles[which[k]], x)
         return lambda x: SHAPES[shape[k]](x, float(c[k]), float(d[k]))
 
     def stacked(x, idx):
@@ -254,7 +285,9 @@ def test_lockstep_brent_equals_scalar_bit_for_bit(elements, hardware_list, xatol
     hi = lo + width
     x, f = _bounded_brent_array(stacked, lo, hi, xatol)
     for k in range(len(elements)):
-        assert (x[k], f[k]) == _bounded_brent(scalar(k), float(lo[k]), float(hi[k]), xatol)
+        bounds = (float(lo[k]), float(hi[k]))
+        res = minimize_scalar(scalar(k), bounds=bounds, method="bounded", options={"xatol": xatol})
+        assert (x[k], f[k]) == (res.x, res.fun)
 
 
 # --- zero-backward-transmission tracing ---
@@ -280,6 +313,27 @@ def test_trace_input_validation():
         trace_zero_tb_line(IDEAL, (4.0, 8.0), 3)
     with pytest.raises(ValidationError, match="n_points"):
         trace_zero_tb_line(IDEAL, (6.0, 8.0), 0)
+
+
+@pytest.mark.parametrize("n_points", [2.5, True, "3", None])
+def test_trace_rejects_non_integer_sample_counts(n_points):
+    with pytest.raises(ValidationError, match="n_points"):
+        trace_zero_tb_line(IDEAL, (6.0, 8.0), n_points)
+
+
+@pytest.mark.parametrize(
+    "kappa_ex_range", [(6.0, math.inf), (-math.inf, 8.0), (math.nan, 8.0), (6.0, "8")]
+)
+def test_trace_rejects_non_finite_range_ends(kappa_ex_range):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="kappa_ex_range"):
+            trace_zero_tb_line(IDEAL, kappa_ex_range, 3)
+
+
+def test_trace_accepts_numpy_integer_sample_count():
+    expected = trace_zero_tb_line(IDEAL, (5.5, 8.0), 3)
+    assert trace_zero_tb_line(IDEAL, (5.5, 8.0), np.int64(3)) == expected
 
 
 def test_trace_nonideal_from_seed_is_honest():
@@ -324,15 +378,41 @@ hardware = st.builds(
 @settings(max_examples=150)
 @given(hardware)
 def test_zero_set_reevaluates_below_target(params):
-    zeros, evaluations = _tb_zeros(params)
+    (zeros,), evaluations = _tb_zeros(params, [params.kappa_ex])
     assert evaluations >= 1
-    for zero in zeros:
+    assert [z.delta_c for z, _ in zeros] == sorted(z.delta_c for z, _ in zeros)
+    for zero, tb in zeros:
         assert zero.kappa_ex == params.kappa_ex
-        assert backward_at(params, zero.delta12, zero.delta_c) <= 1e-10
+        assert tb == backward_at(params, zero.delta12, zero.delta_c) <= 1e-10
         forward = transmission(
             replace(params, delta12=zero.delta12), DriveSpec("forward", zero.delta_c)
         )
         assert zero.t_fwd_predicted == forward
+
+
+@settings(max_examples=20)
+@given(
+    st.builds(
+        SystemParams,
+        g0=or_corner(0.0, st.floats(0.0, 40.0)),
+        kappa_i=st.floats(0.0, 10.0),
+        kappa_ex=st.just(1.0),
+        theta=st.floats(-math.pi, math.pi),
+        p=st.one_of(st.sampled_from([-1.0, 1.0]), st.floats(-1.0, 1.0)),
+        h=or_corner(0.0, st.floats(0.0, 30.0)),
+    ),
+    st.lists(st.floats(0.05, 40.0), min_size=1, max_size=4),
+)
+# no emitter, decoupled directions, and a coupling at kappa_i
+@example(SystemParams(g0=0.0, kappa_i=5.0, kappa_ex=1.0), [5.0, 6.0, 30.0])
+@example(SystemParams(g0=20.0, kappa_i=5.0, kappa_ex=1.0, p=1.0), [5.0, 6.0, 9.0])
+@example(SystemParams(g0=20.0, kappa_i=5.0, kappa_ex=1.0, p=-1.0), [5.5, 6.0])
+@example(replace(NONIDEAL, kappa_ex=1.0), [5.0, 6.9, 7.0, 12.0])
+def test_stacked_zero_set_equals_one_at_a_time(params, kappa_ex):
+    zeros, evaluations = _tb_zeros(params, kappa_ex)
+    alone = [_tb_zeros(params, [kex]) for kex in kappa_ex]
+    assert zeros == [found for (found,), _ in alone]
+    assert evaluations == sum(spent for _, spent in alone)
 
 
 @settings(max_examples=100)
@@ -350,8 +430,8 @@ def test_zero_set_contains_closed_form_point(g0, kappa_i, fraction, p, theta):
     d12, dc = isolation_conditions(g0, 1.0, kappa_i, kappa_ex)
     # at p = -1 the two transitions swap roles, which flips the splitting
     d12 *= p
-    zeros, _ = _tb_zeros(params)
-    miss = min(math.hypot(z.delta12 - d12, z.delta_c - dc) for z in zeros)
+    (zeros,), _ = _tb_zeros(params, [kappa_ex])
+    miss = min(math.hypot(z.delta12 - d12, z.delta_c - dc) for z, _ in zeros)
     assert miss <= 1e-6 * max(1.0, math.hypot(d12, dc))
 
 
@@ -375,6 +455,18 @@ def test_maximize_contrast_zero_splitting_is_reciprocal():
     assert result.t_fwd == result.t_bwd
     assert result.contrast_db == 0.0
     assert not result.converged
+
+
+@pytest.mark.parametrize("fixed", [True, math.nan, math.inf, "30"])
+def test_maximize_contrast_rejects_non_finite_fixed_splitting(fixed):
+    with pytest.raises(ValidationError, match="fixed_delta12"):
+        maximize_contrast(NONIDEAL, fixed_delta12=fixed)
+
+
+def test_maximize_contrast_fixed_splitting_without_dip(monkeypatch):
+    monkeypatch.setattr(optimize, "cavity_dip_detuning", lambda *args: np.full((1, 1), math.nan))
+    with pytest.raises(NoDipError):
+        maximize_contrast(NONIDEAL, fixed_delta12=30.0)
 
 
 def test_maximize_contrast_requires_emitter():
@@ -429,7 +521,7 @@ def test_sweep_grid_nodes_and_trace():
             assert contour.saturated[i, j] == (contour.t_bwd[i, j] < CONTRAST_FLOOR)
     # transmission is reciprocal at zero splitting: contrast vanishes there
     assert np.all(np.abs(contour.contrast_db[:, 0]) < 1e-8)
-    # refined ridge rows re-evaluate honestly below the threshold
+    # trace rows re-evaluate honestly at zero backward transmission
     assert contour.zero_tb_rows.shape[1] == 7
     assert len(contour.zero_tb_rows) >= 1
     for row in contour.zero_tb_rows:
@@ -437,53 +529,83 @@ def test_sweep_grid_nodes_and_trace():
         assert kex in kex_axis
         assert d12_axis[0] <= d12 <= d12_axis[-1]
         params = replace(NONIDEAL, kappa_ex=kex)
-        assert backward_at(params, d12, dc) < RIDGE_THRESHOLD
+        assert backward_at(params, d12, dc) <= ZERO_TB_TARGET
         assert abs(tb - backward_at(params, d12, dc)) < 1e-12
         assert abs(cdb - contrast_db(tf, tb)) < 1e-9
         assert bool(saturated) == (tb < CONTRAST_FLOOR)
 
 
 def test_sweep_grid_ridge_steps_solve_backward_only(monkeypatch):
-    # the nodes are one stacked solve per direction; then each ridge step of
-    # a column is one dip search and one backward system, and the column's
-    # refined point adds one forward system and nothing else
-    calls, dips, nfev = [], [], []
+    # no ridge search runs: the nodes are one grid dip search and one
+    # stacked solve per direction, and the zero trace is one stacked
+    # backward solve over every real resultant root and one stacked forward
+    # solve over the roots that re-evaluate at zero; a root that needs
+    # polishing would add single solves
+    kex_axis = np.linspace(5.5, 15.0, 9)
+    zeros = sum(len(column) for column in _tb_zeros(NONIDEAL, kex_axis)[0])
+    calls, dips, searches, polished = [], [], [], []
 
     def counting(system):
         drives = system.drive.reshape(-1, 4)
         calls.append(("forward" if drives[0, 0] else "backward", len(drives)))
         return steady_state(system)
 
-    def counting_dip(params):
-        dips.append(params)
-        return cavity_dip_detuning(params)
+    def counting_dip(*args):
+        dips.append(args)
+        return cavity_dip_detuning(*args)
 
-    def recording_search(*args, **kwargs):
-        res = minimize_scalar(*args, **kwargs)
-        nfev.append(res.nfev)
-        return res
+    def counting_polish(*args):
+        polished.append(args)
+        return optimize._minimize_tb(*args)
 
     monkeypatch.setattr(model, "steady_state", counting)
     monkeypatch.setattr(optimize, "steady_state", counting)
     monkeypatch.setattr(optimize, "cavity_dip_detuning", counting_dip)
-    monkeypatch.setattr(optimize, "minimize_scalar", recording_search)
-    contour = sweep_grid(NONIDEAL, np.linspace(5.5, 15.0, 9), np.linspace(0.0, 40.0, 9))
+    monkeypatch.setattr(optimize, "minimize_scalar", lambda *a, **k: searches.append(a))
+    monkeypatch.setattr(optimize, "_minimize_tb", counting_polish)
+    contour = sweep_grid(NONIDEAL, kex_axis, np.linspace(0.0, 40.0, 9))
     defined = int(np.sum(np.isfinite(contour.t_fwd)))
-    refined = int(np.sum(np.any(np.isfinite(contour.t_fwd), axis=1)))
-    assert refined == 9
-    assert len(nfev) == refined
-    ridge = [step for n in nfev for step in [("backward", 1)] * n + [("forward", 1)]]
-    assert calls == [("backward", defined), ("forward", defined)] + ridge
-    assert len(dips) == sum(nfev)
+    assert len(dips) == 1 and searches == [] and polished == []
+    assert calls[:2] == [("backward", defined), ("forward", defined)]
+    assert calls[2][0] == "backward" and calls[2][1] >= zeros
+    assert calls[3:] == [("forward", zeros)]
+    assert 1 <= len(contour.zero_tb_rows) <= zeros
+
+
+@settings(max_examples=10)
+@given(
+    st.builds(
+        SystemParams,
+        g0=st.floats(15.0, 25.0),
+        kappa_i=st.floats(3.0, 6.0),
+        kappa_ex=st.just(7.0),
+        theta=st.floats(-math.pi, math.pi),
+        p=st.floats(0.6, 0.95),
+        h=st.floats(5.0, 25.0),
+    )
+)
+# the zero at kappa_ex = 11, delta12 = 11.4 lies inside the window, while
+# the column's least node T_b sits at its delta12 = 80 edge
+@example(NONIDEAL)
+def test_sweep_trace_holds_every_in_window_zero(params):
+    kex_axis = np.linspace(params.kappa_i, params.kappa_i + 20.0, 11)
+    rows = sweep_grid(params, kex_axis, np.linspace(0.0, 80.0, 9)).zero_tb_rows
+    for kex, d12, dc, tf, tb, _, _ in rows:
+        assert tb == backward_at(replace(params, kappa_ex=kex), d12, dc) <= ZERO_TB_TARGET
+    for kex in kex_axis:
+        (zeros,), _ = _tb_zeros(params, [kex])
+        expected = sorted((z.delta12, z.delta_c) for z, _ in zeros if 0.0 <= z.delta12 <= 80.0)
+        assert [(row[1], row[2]) for row in rows if row[0] == kex] == expected
 
 
 def node_reference(params):
-    """cavity_dip_detuning and both solves at one node, as sweep_grid reports them."""
+    """scipy's dip and both solves at one node, as sweep_grid reports them."""
+    dc = scipy_dip(params)
     try:
-        dc = cavity_dip_detuning(params)
         tb = transmission(params, DriveSpec("backward", dc))
         tf = transmission(params, DriveSpec("forward", dc))
-    except (NoDipError, SingularSystemError):
+    except (ValidationError, SingularSystemError):
+        # a NaN detuning, where no dip was found, is no DriveSpec
         return [math.nan] * 4 + [False]
     return [dc, tf, tb, contrast_db(tf, tb), tb < CONTRAST_FLOOR]
 
@@ -522,6 +644,7 @@ def axis(lo, hi, n):
 @example(SystemParams(g0=20.0, kappa_i=5.0, kappa_ex=6.0), [5.5, 6.0, 9.0], [0.0, 14.0, 28.2, 40.0])
 @example(SystemParams(g0=20.0, kappa_i=5.0, kappa_ex=6.0, p=-1.0), [9.0, 6.0], [-28.2, 0.0, 14.0])
 def test_sweep_grid_nodes_equal_scalar_dip_and_solves(params, kex_axis, d12_axis):
+    # each node's dip is scipy's bounded search of its own brackets, bit for bit
     contour = sweep_grid(params, kex_axis, d12_axis)
     for i, kex in enumerate(kex_axis):
         for j, d12 in enumerate(d12_axis):
