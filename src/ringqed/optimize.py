@@ -13,15 +13,11 @@ polished by a Nelder-Mead simplex. On that zero set this module traces
 the zero line, writes the zero trace of a contour sweep, and maximizes
 the isolation contrast by a bounded search over the coupling.
 
-The same lemma gives the backward amplitude in pole-zero form,
-t_b(Delta) = i*prod(Delta - z_k)/prod(Delta - p_k), with the poles the
-eigenvalues of i*Gamma - N0 and the zeros those of i*Gamma_b - N0. The
-backward-dip search, cavity_dip_detuning, runs over a whole
-(kappa_ex, delta12) grid: one stacked eigvals for every node's poles and
-zeros, and one lockstep port of scipy's bounded Brent search over every
-candidate bracket, each step a product of four ratios. A contour sweep
-reports the transmissions of one stacked 4x4 solve per direction at the
-dips.
+The same lemma writes T_b(Delta) = |n/d|**2, n that determinant and d
+its counterpart with Gamma, so the backward dips of a whole (kappa_ex,
+delta12) grid, cavity_dip_detuning, are real roots of one polynomial per
+node: no search, one stacked companion eigvals, then Newton steps. A
+contour sweep reports one stacked 4x4 solve per direction at the dips.
 """
 
 from __future__ import annotations
@@ -64,9 +60,21 @@ ZERO_TB_TARGET = 1e-10
 # ZERO_TB_TARGET and this is polished.
 _POLISH_BELOW = 1e-3
 
-# Relative imaginary part up to which a resultant root counts as real;
-# the roots of genuine zeros stayed near 1e-7 or below on random hardware.
+# Relative imaginary part up to which a polynomial root counts as real; the
+# resultant roots of genuine zeros stayed near 1e-7 or below on random hardware.
 _REAL_ROOT_TOL = 1e-6
+
+# D(u, .) at a real resultant root u, relative to D's largest coefficient,
+# below which u lies on a line of zeros; on random hardware it stayed above
+# 6e-4 at every real root, and on such lines below 2e-8.
+_LINE_TOL = 1e-6
+
+# A top coefficient of W, relative to the product of A's and B's largest,
+# at or below which it is rounding; where W vanishes it stayed near 1e-14.
+_W_ROUNDING = 1e-12
+
+# Relative difference up to which two dips tie in depth, weight or |delta_c|.
+_TIE = 1e-9
 
 # Couplings in the logarithmic scan that brackets the contrast maximum.
 _SCAN_POINTS = 48
@@ -138,110 +146,6 @@ def _backward_decay(params: SystemParams) -> np.ndarray:
     return gamma_b
 
 
-def _tb_poles_zeros(n0: np.ndarray, decays: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Poles and zeros of t_b, the eigenvalues of i*Gamma - N0 and i*Gamma_b - N0.
-
-    decays stacks (Gamma, Gamma_b) on its third-to-last axis and
-    broadcasts against n0, so one stacked eigvals serves any number of
-    nodes; the values of each node are those of its own call bit for bit.
-    """
-    values = np.linalg.eigvals(1j * decays - n0[..., None, :, :])
-    return values[..., 0, :], values[..., 1, :]
-
-
-def _decays(params: SystemParams) -> np.ndarray:
-    """Gamma and Gamma_b stacked, as _tb_poles_zeros takes them."""
-    return np.stack([decay_matrix(params), _backward_decay(params)])
-
-
-def _tb_rational_array(zeros: np.ndarray, poles: np.ndarray, delta_c: np.ndarray) -> np.ndarray:
-    """Backward transmission |prod (Delta - z_k)/(Delta - p_k)|**2 per row at Delta = delta_c.
-
-    zeros and poles are (n, 4), delta_c is (n,). CPython's complex
-    arithmetic is repeated in real operations, which keeps every sweep's
-    dips digit for digit: the quotient divides through by the larger part
-    of the denominator (_Py_c_quot, unlike numpy), the product is
-    _Py_c_prod's, abs is hypot, and the square is Python's pow, which
-    differs from numpy's x*x in the last bit.
-    """
-    re, im = np.ones_like(delta_c), np.zeros_like(delta_c)
-    for k in range(zeros.shape[1]):
-        num_re, num_im = delta_c - zeros[:, k].real, 0.0 - zeros[:, k].imag
-        den_re, den_im = delta_c - poles[:, k].real, 0.0 - poles[:, k].imag
-        by_re = np.abs(den_re) >= np.abs(den_im)
-        # each branch is kept only where its divisor is the larger part
-        with np.errstate(all="ignore"):
-            ratio = np.where(by_re, den_im / den_re, den_re / den_im)
-        denom = np.where(by_re, den_re + den_im * ratio, den_re * ratio + den_im)
-        q_re = np.where(by_re, num_re + num_im * ratio, num_re * ratio + num_im) / denom
-        q_im = np.where(by_re, num_im - num_re * ratio, num_im * ratio - num_re) / denom
-        re, im = re * q_re - im * q_im, re * q_im + im * q_re
-    return np.array([v**2 for v in np.hypot(re, im).tolist()])
-
-
-def _bounded_brent_array(func, lo, hi, xatol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Minima (x, f) of func on arrays of brackets [lo, hi], searched in lockstep.
-
-    The search is scipy's bounded Brent method, minimize_scalar(
-    method="bounded") (Brent 1973, ch. 5), ported with the same constants,
-    steps and 500-evaluation cap, so every element returns scipy's res.x
-    and res.fun bit for bit. func(x, idx) returns the objective of element
-    idx[k] at x[k]; an element that has stopped is no longer evaluated.
-    """
-    sqrt_eps, golden_mean = math.sqrt(2.2e-16), 0.5 * (3.0 - math.sqrt(5.0))
-    a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    xf = a + golden_mean * (b - a)
-    live = np.arange(a.size)
-    fx = func(xf, live)
-    zero = np.zeros_like(a)
-    # one row per variable of scipy's driver, one column per element
-    state = np.stack([a, b, xf, fx, xf, fx, xf, fx, zero, zero, zero + 1.0])
-    while live.size:
-        a, b, xf, fx, nfc, fnfc, fulc, ffulc, rat, e, num = state[:, live]
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        running = (num < 500) & (np.abs(xf - xm) > tol2 - 0.5 * (b - a))
-        if not running.all():
-            live = live[running]
-            continue
-        # parabola through the three best points, where abs(e) > tol1
-        r = (xf - nfc) * (fx - ffulc)
-        q = (xf - fulc) * (fx - fnfc)
-        p = (xf - fulc) * q - (xf - nfc) * r
-        q = 2.0 * (q - r)
-        p = np.where(q > 0.0, -p, p)
-        q = np.abs(q)
-        parabola = np.abs(e) > tol1
-        parabola &= (np.abs(p) < np.abs(0.5 * q * e)) & (q * (a - xf) < p) & (p < q * (b - xf))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = (p + 0.0) / q
-        x = xf + step
-        near_end = (x - a < tol2) | (b - x < tol2)
-        step = np.where(near_end, np.where(xm >= xf, tol1, -tol1), step)
-        # otherwise a golden-section step into the larger part of the bracket
-        e = np.where(parabola, rat, np.where(xf >= xm, a - xf, b - xf))
-        rat = np.where(parabola, step, golden_mean * e)
-        size = np.abs(rat)
-        x = xf + np.where(rat >= 0, 1.0, -1.0) * np.where(tol1 > size, tol1, size)
-        fu = func(x, live)
-        lower = fu <= fx
-        a, b = (
-            np.where(lower, np.where(x >= xf, xf, a), np.where(x < xf, x, a)),
-            np.where(lower, np.where(x >= xf, b, xf), np.where(x < xf, b, x)),
-        )
-        second = ~lower & ((fu <= fnfc) | (nfc == xf))
-        third = ~lower & ~second & ((fu <= ffulc) | (fulc == xf) | (fulc == nfc))
-        shift = lower | second
-        fulc = np.where(shift, nfc, np.where(third, x, fulc))
-        ffulc = np.where(shift, fnfc, np.where(third, fu, ffulc))
-        nfc = np.where(lower, xf, np.where(second, x, nfc))
-        fnfc = np.where(lower, fx, np.where(second, fu, fnfc))
-        xf, fx = np.where(lower, x, xf), np.where(lower, fu, fx)
-        state[:, live] = a, b, xf, fx, nfc, fnfc, fulc, ffulc, rat, e, num + 1.0
-    return state[2], state[3]
-
-
 def _dip_runs(values: np.ndarray, vectors: np.ndarray) -> tuple[list, list[tuple[float, float]]]:
     """Centers of the runs of degenerate polariton eigenvalues, and the candidates.
 
@@ -267,77 +171,134 @@ def _dip_runs(values: np.ndarray, vectors: np.ndarray) -> tuple[list, list[tuple
     return centers, [(c, w / count) for c, (_, w, count) in zip(centers, runs) if c <= tol]
 
 
-def _dip_brackets(runs, kappa: float, gamma: float) -> list[tuple[float, float, float, float]]:
-    """(weight, width, lo, hi) of the search bracket around each candidate of runs."""
+def _dip_brackets(runs, kappa: np.ndarray, gamma: float) -> np.ndarray:
+    """(weight, width, lo, hi) of the bracket around each candidate of runs at each kappa.
+
+    The result is (4, len(kappa), 4), NaN past the last candidate.
+    """
     centers, candidates = runs
-    brackets = []
-    for center, weight in candidates:
-        width = max(kappa, gamma)
-        others = [c for c in centers if c != center]
-        if others:
-            width = max(width, 0.5 * min(abs(center - o) for o in others))
-        brackets.append((weight, width, center - width, center + width))
+    brackets = np.full((4, kappa.size, 4), math.nan)
+    for k, (center, weight) in enumerate(candidates):
+        others = [abs(center - c) for c in centers if c != center]
+        width = np.maximum(kappa, max(gamma, 0.5 * min(others)) if others else gamma)
+        brackets[0, :, k] = weight
+        brackets[1:, :, k] = width, center - width, center + width
     return brackets
 
 
-def _pick_dip(brackets, minima) -> float | None:
-    """The deepest interior minimum, or None; minima holds (x, T_b) per bracket.
+def _pick_dip(weight: np.ndarray, x: np.ndarray, tb: np.ndarray) -> np.ndarray:
+    """The deepest minimum x of each node, NaN where it has none.
 
-    A minimum within 1e-3 widths of its bracket's ends escaped it. Ties
-    fall to the candidate of larger photonic weight, then smaller |x|.
+    x and tb (..., brackets, roots) hold each bracket's minima and their
+    T_b, inf where none; weight (..., brackets) holds each bracket's
+    photonic weight. Values within a relative _TIE are equal: ties in T_b
+    fall to the larger weight, then the smaller |x|, then the smaller x.
     """
-    results = []
-    for (weight, width, lo, hi), (x, tb) in zip(brackets, minima):
-        edge = 1e-3 * width
-        if lo + edge < x < hi - edge:
-            results.append((tb, -weight, abs(x), x))
-    return min(results)[3] if results else None
+    tied = np.isfinite(tb)
+    for key in (tb, -np.broadcast_to(weight[..., None], x.shape), np.abs(x)):
+        best = np.where(tied, key, np.inf).min(axis=(-2, -1), keepdims=True)
+        tied &= key <= best + _TIE * np.abs(best)
+    dip = np.where(tied, x, np.inf).min(axis=(-2, -1))
+    return np.where(np.isfinite(dip), dip, math.nan)
+
+
+def _tb_quotient(shifted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """n and d of T_b = |n/d|**2 at each node, as polynomials in Delta/scale.
+
+    shifted (m, 2, 4, 4) stacks N0 - i*Gamma_b and N0 - i*Gamma per node;
+    n and d are det(Delta*I + shifted), monic quartics, interpolated
+    exactly at five roots of unity times scale, a bound on the infinity
+    norm of N0 - i*Gamma and so on all their roots: one stacked det and
+    one FFT. Returns scale (m,) and the coefficients (m, 2, 5) of n and d,
+    lowest degree first, divided by scale**4.
+    """
+    scale = (np.abs(shifted[:, 1].real) + np.abs(shifted[:, 1].imag)).sum(axis=-1).max(axis=-1)
+    x = scale[:, None, None] * np.exp(2j * np.pi * np.arange(5) / 5)
+    values = np.linalg.det(shifted[:, :, None] + x[..., None, None] * np.eye(4))
+    return scale, np.fft.fft(values) / (5.0 * scale**4)[:, None, None]
+
+
+def _polish_dips(shifted: np.ndarray, coef: np.ndarray, scale: np.ndarray, x: np.ndarray):
+    """The minima x after Newton steps on W/2 = Re(n'n*)|d|**2 - |n|**2 Re(d'd*), and T_b there.
+
+    shifted, coef and scale are _tb_quotient's, one row per minimum. n and
+    d come from det at x, their derivatives from coef, so W keeps the
+    digits its polynomial loses where A = |n|**2 has a near-double root,
+    near a zero of T_b, or where n and d share a factor. A row stops at a
+    step below 1e-12 * scale, and all after eight; no step of 1e-2 * scale
+    or more, or where W' <= 0, is taken.
+    """
+    first = coef[..., 1:] * np.arange(1, 5)
+    second = first[..., 1:] * np.arange(1, 4)
+    for left in range(8, -1, -1):
+        nd = np.linalg.det(shifted + x[:, None, None, None] * np.eye(4)) / (scale**4)[:, None]
+        nd1, nd2 = (_polyval(c, (x / scale)[:, None]) for c in (first, second))
+        # (Re(n'n*), Re(d'd*)) and their derivatives against (|d|**2, |n|**2);
+        # complex abs would round by the stack's length, real ops do not
+        slope = (nd1 * nd.conj()).real
+        curve = (nd2 * nd.conj()).real + nd1.real**2 + nd1.imag**2
+        size = nd.real[:, ::-1] ** 2 + nd.imag[:, ::-1] ** 2
+        w, w1 = (f[:, 0] * size[:, 0] - f[:, 1] * size[:, 1] for f in (slope, curve))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = np.where((w1 > 0) & (np.abs(w) < 1e-2 * w1), -scale * w / w1, 0.0)
+        # a row that has converged stays put, so a row's steps do not depend on its stack
+        step[np.abs(step) <= 1e-12 * scale] = 0.0
+        if not left or not step.any():
+            return x, size[:, 1] / size[:, 0]
+        x = x + step
 
 
 def cavity_dip_detuning(params_fixed: SystemParams, kappa_ex, delta12) -> np.ndarray:
     """Backward-transmission dip detuning at every node of a (kappa_ex, delta12) grid.
 
-    Dips sit at the polariton eigen-detunings, so each non-positive
-    eigenvalue seeds a bounded one-dimensional minimization of T_b (the
-    relevant branch has negative detuning, matching the sign of the
-    ideal-case operating point). T_b is read from the pole-zero form of
-    the backward amplitude, the poles and zeros of every node one stacked
-    eigvals, and one lockstep port of scipy's bounded Brent search runs
-    over every candidate bracket of every node. A node's dip is its
-    deepest interior minimum; ties fall to the candidate whose eigenvector
-    has the larger photonic weight. The result has the shape
-    (kappa_ex, delta12), NaN where every local search escapes its bracket.
+    Dips sit near the polariton eigen-detunings, so a bracket around each
+    non-positive eigenvalue holds the candidates (the relevant branch has
+    negative detuning, matching the sign of the ideal-case operating
+    point). With n and d from _tb_quotient, T_b = A/B for the real octics
+    A = |n|**2 and B = |d|**2, whose stationary points are the real roots
+    of W = A'B - AB'. Its degree-15 and degree-14 terms cancel, the second
+    because n and d have the same real trace, so one stacked 13x13
+    companion eigvals gives every node's. The minima are the roots where
+    W' > 0; those inside a bracket, more than 1e-3 widths from its ends,
+    are polished by _polish_dips, which also gives their T_b. A node's dip
+    is its deepest such minimum, ties falling to the larger photonic weight
+    (see _pick_dip). The result has the shape (kappa_ex, delta12), NaN
+    where no bracket holds a minimum, as where T_b is constant.
     """
     kex_params = [replace(params_fixed, kappa_ex=float(k)) for k in kappa_ex]
     d12_params = [replace(params_fixed, delta12=float(d)) for d in delta12]
     runs = [_dip_runs(*polariton_modes(p)) for p in d12_params]
     n0 = np.stack([coupling_matrix(p) for p in d12_params])
-    decays = np.stack([_decays(p) for p in kex_params])
-    poles, zeros = _tb_poles_zeros(n0, decays[:, None])
+    decays = np.stack([[_backward_decay(p), decay_matrix(p)] for p in kex_params])
+    # one row per node, the splitting fastest
+    shifted = (n0[None, :, None] - 1j * decays[:, None]).reshape(-1, 2, 4, 4)
+    scale, coef = _tb_quotient(shifted)
+    a, b = (_polymul(c, c.conj()).real for c in (coef[:, 0], coef[:, 1]))
+    k = np.arange(1, 9)
+    w = (_polymul(a[:, 1:] * k, b) - _polymul(a, b[:, 1:] * k))[:, :14]
+    # top terms at rounding level are none: where they cancel, as at
+    # kappa_i = 0, W keeps its true degree, and a constant T_b has no W
+    kept = np.abs(w) > _W_ROUNDING * (np.abs(a).max(axis=1) * np.abs(b).max(axis=1))[:, None]
+    w[np.cumsum(kept[:, ::-1], axis=1)[:, ::-1] == 0] = 0.0
 
-    brackets = [[_dip_brackets(r, p.kappa, p.gamma) for r in runs] for p in kex_params]
-    # one row (i, j, lo, hi) per candidate bracket, node by node
-    rows = [
-        (i, j, lo, hi)
-        for i, row in enumerate(brackets)
-        for j, node in enumerate(row)
-        for _, _, lo, hi in node
-    ]
-    ii, jj, lo, hi = np.array(rows).reshape(-1, 4).T
-    ii, jj = ii.astype(int), jj.astype(int)
-    zeros, poles = zeros[ii, jj], poles[ii, jj]
-    x, tb = _bounded_brent_array(
-        lambda dc, k: _tb_rational_array(zeros[k], poles[k], dc), lo, hi, 1e-8
-    )
+    roots = np.full((len(w), 13), math.nan, dtype=complex)
+    for row, r in zip(roots, _polyroots(w)):
+        row[: r.size] = r
+    x = np.where(_is_real(roots), roots.real, math.nan)
+    x[~(_polyval(w[:, None, 1:] * np.arange(1, 14), x) > 0)] = math.nan
+    x = (scale[:, None] * x).reshape(len(kex_params), len(runs), 1, 13)
 
-    dips = np.full((len(kex_params), len(d12_params)), math.nan)
-    minima = iter(zip(x.tolist(), tb.tolist()))
-    for i, row in enumerate(brackets):
-        for j, node in enumerate(row):
-            dip = _pick_dip(node, [next(minima) for _ in node])
-            if dip is not None:
-                dips[i, j] = dip
-    return dips
+    kappa = np.array([p.kappa for p in kex_params])
+    brackets = [_dip_brackets(r, kappa, params_fixed.gamma) for r in runs]
+    # (coupling, splitting, bracket, 1) against (coupling, splitting, 1, root)
+    weight, width, lo, hi = np.stack(brackets, axis=2)[..., None]
+    edge = 1e-3 * width
+    i, j, r = np.nonzero(((lo + edge < x) & (x < hi - edge)).any(axis=2))
+    node, depth = i * len(runs) + j, np.full(x.shape, np.inf)
+    polished = _polish_dips(shifted[node], coef[node], scale[node], x[i, j, 0, r])
+    x[i, j, 0, r], depth[i, j, 0, r] = polished
+    tb = np.where((lo + edge < x) & (x < hi - edge), depth, np.inf)
+    return _pick_dip(weight[..., 0], np.broadcast_to(x, tb.shape), tb)
 
 
 def _minimize_tb(params, seed):
@@ -376,7 +337,7 @@ def _driven_amplitudes(matrices: np.ndarray, port: int) -> np.ndarray:
 
 def _polymul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Products of the polynomials in the rows of a and b, lowest degree first."""
-    out = np.zeros((len(a), a.shape[1] + b.shape[1] - 1))
+    out = np.zeros((len(a), a.shape[1] + b.shape[1] - 1), dtype=np.result_type(a, b))
     for i in range(a.shape[1]):
         out[:, i : i + b.shape[1]] += a[:, i, None] * b
     return out
@@ -400,6 +361,19 @@ def _polyroots(c: np.ndarray) -> list[np.ndarray]:
     return [next(values) if ok else P.polyroots(row) for ok, row in zip(stacked.tolist(), c)]
 
 
+def _is_real(roots: np.ndarray) -> np.ndarray:
+    """Whether each root's imaginary part is within _REAL_ROOT_TOL; NaN is not."""
+    return np.abs(roots.imag) <= _REAL_ROOT_TOL * np.maximum(1.0, np.abs(roots))
+
+
+def _polyval(c: np.ndarray, x) -> np.ndarray:
+    """P.polyval over the last axis of c by Horner's rule; x broadcasts against c[..., 0]."""
+    out = c[..., -1] + x * 0
+    for k in range(2, c.shape[-1] + 1):
+        out = c[..., -k] + out * x
+    return out
+
+
 def _tb_zeros(params: SystemParams, kappa_ex) -> tuple[list[_Zeros], int]:
     """Every real zero (delta12, delta_c) of T_b at each coupling of kappa_ex.
 
@@ -408,12 +382,17 @@ def _tb_zeros(params: SystemParams, kappa_ex) -> tuple[list[_Zeros], int]:
     in delta12, so its coefficients come from one 2-D FFT. For real
     arguments D = 0 means Re D = Im D = 0, two quadratics in delta12 whose
     resultant is a polynomial in Delta; each real root gives delta12 as
-    the near-real root of D(Delta, .). Each step is stacked over the
-    couplings, and gives each coupling the numbers of its own call bit
-    for bit. The roots are re-evaluated by one stacked solve per
-    direction; one missing ZERO_TB_TARGET is polished on its own. Returns
-    per coupling its zeros, by ascending delta_c, each with its T_b, and
-    the count of resultant solves plus polishing evaluations.
+    the near-real root of D(Delta, .). Where every coefficient of
+    D(Delta, .) is within a relative _LINE_TOL = 1e-6 of D's largest,
+    every delta12 is a zero at that Delta: the zero set holds a line there,
+    not a point, as for a critically coupled bare cavity at delta_c = 0,
+    and that root gives no zero, so no arbitrary or repeated point. Each
+    step is stacked over the couplings, and gives each coupling the
+    numbers of its own call bit for bit. The roots are re-evaluated by one
+    stacked solve per direction; one missing ZERO_TB_TARGET is polished on
+    its own. Returns per coupling its zeros, by ascending delta_c, each
+    with its T_b, and the count of resultant solves plus polishing
+    evaluations.
     """
     hardware = [replace(params, kappa_ex=float(k)) for k in kappa_ex]
     scale = np.array([max(p.g0, p.kappa, p.h, p.gamma) for p in hardware])
@@ -436,12 +415,12 @@ def _tb_zeros(params: SystemParams, kappa_ex) -> tuple[list[_Zeros], int]:
     resultant = _polymul(cross(2, 0), cross(2, 0)) - _polymul(cross(2, 1), cross(1, 0))
 
     roots = _polyroots(resultant)
-    real = [r[np.abs(r.imag) <= _REAL_ROOT_TOL * np.maximum(1.0, np.abs(r))].real for r in roots]
+    real = [r[_is_real(r)].real for r in roots]
     which, u = np.repeat(np.arange(len(real)), [r.size for r in real]), np.concatenate(real)
-    # D(u, .) at each real root, by Horner's rule as P.polyval
-    quadratic = coef[which, -1] + u[:, None] * 0
-    for k in range(2, coef.shape[1] + 1):
-        quadratic = coef[which, -k] + quadratic * u[:, None]
+    # D(u, .) at each real root; where it vanishes, u is on a line of zeros
+    quadratic = _polyval(coef[which].transpose(0, 2, 1), u[:, None])
+    point = np.abs(quadratic).max(axis=1) > _LINE_TOL * np.abs(coef).max(axis=(1, 2))[which]
+    which, u, quadratic = which[point], u[point], quadratic[point]
     v = [r[np.argmin(np.abs(r.imag))].real for r in _polyroots(quadratic)]
     delta12, delta_c = scale[which] * np.array(v), scale[which] * u
 
