@@ -58,6 +58,19 @@ def ideal_transmission(params: SystemParams, drive: DriveSpec) -> float:
     return abs(1.0 - 2.0 * params.kappa_ex * d / denom) ** 2
 
 
+def _check_rates(g0, gamma, kappa_i) -> None:
+    """ValidationError unless g0 >= 0, gamma > 0 and kappa_i >= 0 are finite reals."""
+    for name, value in (("g0", g0), ("gamma", gamma), ("kappa_i", kappa_i)):
+        if not finite(value):
+            raise ValidationError("%s must be a finite real number" % name)
+    if gamma <= 0:
+        raise ValidationError("gamma must be > 0")
+    if g0 < 0:
+        raise ValidationError("g0 must be >= 0")
+    if kappa_i < 0:
+        raise ValidationError("kappa_i must be >= 0")
+
+
 def isolation_conditions(
     g0: float, gamma: float, kappa_i: float, kappa_ex: float
 ) -> tuple[float, float]:
@@ -70,15 +83,9 @@ def isolation_conditions(
 
     Valid only for kappa_ex > kappa_i and g0^2 >= gamma*(kappa_ex-kappa_i)/2.
     """
-    for name, value in (("g0", g0), ("gamma", gamma), ("kappa_i", kappa_i), ("kappa_ex", kappa_ex)):
-        if not finite(value):
-            raise ValidationError("%s must be a finite real number" % name)
-    if gamma <= 0:
-        raise ValidationError("gamma must be > 0")
-    if g0 < 0:
-        raise ValidationError("g0 must be >= 0")
-    if kappa_i < 0:
-        raise ValidationError("kappa_i must be >= 0")
+    _check_rates(g0, gamma, kappa_i)
+    if not finite(kappa_ex):
+        raise ValidationError("kappa_ex must be a finite real number")
     dk = kappa_ex - kappa_i
     if dk <= 0:
         raise ConstraintError(
@@ -117,12 +124,9 @@ def optimal_coupling(g0: float, gamma: float, kappa_i: float) -> IsolationPoint:
     (kappa_i, kappa_i + gamma/2) and one beyond it, so both regimes are
     searched independently and the better optimum is returned.
     """
+    _check_rates(g0, gamma, kappa_i)
     if g0 <= 0:
         raise ValidationError("optimal_coupling requires g0 > 0")
-    if gamma <= 0:
-        raise ValidationError("gamma must be > 0")
-    if kappa_i < 0:
-        raise ValidationError("kappa_i must be >= 0")
 
     def negative_tf(kappa_ex: float) -> float:
         try:

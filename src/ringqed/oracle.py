@@ -15,16 +15,21 @@ Every Liouvillian is one weighted sum over a cached term basis: eleven
 parameter-free superoperators per n_max on one shared sparse pattern, so
 a new parameter set costs one sparse product and no kron.
 
-The steady state is found by GMRES on the trace-constrained Liouvillian,
-preconditioned with its undriven part, the Liouvillian without the
-coherent drive, which is cut out of it by index arithmetic. That part is
-block-diagonal in the coherence order k = N_i - N_j, and block -k mirrors
-block k, so only the orders k >= 0 are factored. Grouped by excitation
-level N_i they are block upper triangular: the jump terms reach only
-level N_i + 1 and the trace row every level. Each level's diagonal block
-gets its own natural-order LU, and the off-diagonal blocks are applied by
-block back-substitution, so no LU fills them. A direct LU of the full
-matrix is the fallback.
+The steady state solves the Liouvillian with row 0 replaced by the trace
+functional, by GMRES preconditioned with its undriven part. Every term
+but the coherent drive conserves the coherence order k = N_i - N_j, where
+N counts excitations, so the undriven part is the entries of the
+constrained matrix whose row and column share an order k; the trace row
+lies in k = 0. A Lindblad generator maps rho' to L(rho)', so block -k is
+the complex conjugate of block k: only k >= 0 is factored, and the
+k <= 0 part of a vector goes through it conjugated, as a second column.
+Damping lowers N_i and N_j together, so in ascending N_i the k >= 0 part
+is block upper triangular by level: jumps reach level N_i + 1 only, the
+trace row every level. Each level's diagonal block gets its own
+natural-order LU, and the off-diagonal blocks are applied by block
+back-substitution, so no LU fills them. Where that does not apply (a
+dimension outside the basis, a singular level block, GMRES not
+converging) a direct LU of the full constrained matrix is the fallback.
 """
 
 from __future__ import annotations
@@ -47,12 +52,6 @@ from .model import DriveSpec, SystemParams, _transmitted, couplings
 from .tableio import finite
 
 MAX_N_MAX = 4
-
-# Column ordering of the direct fallback's LU of the full constrained
-# matrix (the preconditioner has its own, natural order). On the non-ideal
-# set COLAMD and MMD_ATA are within 7% at n_max 2-3; at n_max 4 MMD_ATA
-# takes 17 s against COLAMD's 20 s, with 10% less fill.
-_PERMC_SPEC = "COLAMD"
 
 
 @dataclass(frozen=True)
@@ -159,8 +158,7 @@ def _liouvillian_pieces(n_max: int):
 
     Returns (indices, indptr, basis): the CSC pattern shared by all
     terms, and a sparse (pattern nnz, 11) matrix whose column t holds
-    term t as (positions in the pattern, values). Built once per n_max;
-    a parameter set is then one product basis @ w.
+    term t as (positions in the pattern, values).
     """
     a, b, s1, s2 = _mode_operators(n_max + 1)
     ad, bd, s1d, s2d = (op.T.tocsr() for op in (a, b, s1, s2))
@@ -202,12 +200,9 @@ def build_liouvillian(
     Implements rho-dot = -i[H, rho] + 2*kappa*L(a) + 2*kappa*L(b)
     + gamma*L(sigma1) + gamma*L(sigma2), where H carries the detunings,
     backscattering, helicity-split couplings, and the coherent drive of
-    amplitude trunc.drive_amp on mode a (forward) or b (backward).
-
-    The matrix is one weighted sum over the cached term basis of
-    _liouvillian_pieces, formed in one pass over its shared pattern.
-    Exact zeros are then dropped, so a term whose coefficient vanishes
-    (h = 0, p = 1, delta12 = 0, zero drive) leaves no entries behind.
+    amplitude trunc.drive_amp on mode a (forward) or b (backward). A term
+    whose coefficient vanishes (h = 0, p = 1, delta12 = 0, zero drive)
+    leaves no entries behind.
     """
     indices, indptr, basis = _liouvillian_pieces(trunc.n_max)
     gp, gm = couplings(params.g0, params.theta, params.p)
@@ -244,110 +239,61 @@ def _trace_constrained(matrix) -> sparse.csr_matrix:
 
 
 @lru_cache(maxsize=8)
-def _excitation_number(d: int):
-    """N = n_a + n_b + s1 + s2 of each basis state, or None.
+def _levels(d: int):
+    """Vec indices of the coherence orders k >= 0 in excitation order, or None.
 
-    Read from the documented basis order. None if d is not a dimension
-    of that basis.
+    Returns (kept, mirrored, positive, place, order, bounds): the indices
+    i + d*j with k = N_i - N_j >= 0, sorted by (N_i, k, index); their
+    mirrors j + d*i; the positions in kept whose k is > 0; the position
+    of each vec index in kept (-1 where k < 0); the coherence order of
+    each vec index; and the bounds of the levels N_i = 0, 1, ... in kept.
+    None if d is not a dimension of the documented basis.
     """
     n_levels = math.isqrt(d // 4)
     if n_levels * n_levels * 4 != d:
         return None
     number = np.indices((n_levels, n_levels, 2, 2)).sum(axis=0).ravel()
-    number.flags.writeable = False
-    return number
-
-
-@lru_cache(maxsize=8)
-def _coherence_order(d: int):
-    """Vec indices of coherence order k >= 0 in excitation order.
-
-    Returns (keep, mirror, n0): the indices i + d*j with
-    k = N_i - N_j >= 0, sorted by k and then by N_i; their mirrors
-    j + d*i, of order -k; and the number of entries with k = 0. The
-    caller has checked that d is a dimension of the documented basis.
-    """
-    number = _excitation_number(d)
     vec = np.arange(d * d)
     rows, cols = vec % d, vec // d
     order = number[rows] - number[cols]
-    keep = vec[order >= 0]
-    keep = keep[np.lexsort((number[rows[keep]], order[keep]))]
-    mirror = cols[keep] + d * rows[keep]
-    for index in (keep, mirror):
-        index.flags.writeable = False
-    return keep, mirror, int(np.count_nonzero(order == 0))
-
-
-@lru_cache(maxsize=8)
-def _levels(d: int):
-    """_coherence_order's sequence regrouped by excitation level N_i.
-
-    Returns (kept, mirrored, positive, place, order, bounds): keep and
-    mirror taken in ascending N_i, and within a level in keep's order; the
-    positions in that order whose k is > 0; the position of each vec index
-    in it (-1 where k < 0); the coherence order of each vec index; and
-    the bounds of the levels N_i = 0, 1, ... .
-    """
-    keep, mirror, n0 = _coherence_order(d)
-    number = _excitation_number(d)
-    level = number[keep % d]
-    by_level = np.argsort(level, kind="stable")
-    kept, mirrored = keep[by_level], mirror[by_level]
-    positive = np.flatnonzero(by_level >= n0)
+    kept = vec[order >= 0]
+    kept = kept[np.lexsort((order[kept], number[rows[kept]]))]
+    mirrored = cols[kept] + d * rows[kept]
+    positive = np.flatnonzero(order[kept] > 0)
     place = np.full(d * d, -1)
     place[kept] = np.arange(kept.size)
-    vec = np.arange(d * d)
-    order = number[vec % d] - number[vec // d]
-    bounds = np.searchsorted(level[by_level], np.arange(level.max() + 2))
+    bounds = np.searchsorted(number[rows[kept]], np.arange(number.max() + 2))
     for array in (kept, mirrored, positive, place, order, bounds):
         array.flags.writeable = False
     return kept, mirrored, positive, place, order, bounds
 
 
-def _preconditioner_matrix(lio, d: int) -> sparse.csc_matrix:
-    """The trace-constrained undriven part of lio on the orders k >= 0.
+def _preconditioner_matrix(constrained, d: int) -> sparse.csc_matrix:
+    """The entries of constrained whose row and column share an order k >= 0.
 
-    Cut out by index arithmetic: the entries whose row and column have
-    the same coherence order k >= 0, row 0 excepted, placed in _levels'
-    order, plus the trace row. Every term but the coherent drive
-    conserves k, so this is the trace-constrained Liouvillian without
-    the drive, restricted to keep. The caller has checked that d is a
-    dimension of the documented basis.
+    Placed in _levels' order. The caller has checked that d is a dimension
+    of the documented basis.
     """
     kept, _, _, place, order, _ = _levels(d)
-    coo = lio.tocoo()
-    rows, cols = place[coo.row], place[coo.col]
-    same = (order[coo.row] == order[coo.col]) & (rows > 0)
-    diagonal = place[np.arange(d) * (d + 1)]
-    rows = np.concatenate((rows[same], np.zeros(d, dtype=rows.dtype)))
-    cols = np.concatenate((cols[same], diagonal))
-    data = np.concatenate((coo.data[same], np.ones(d, dtype=coo.data.dtype)))
-    return sparse.coo_matrix((data, (rows, cols)), shape=(kept.size,) * 2).tocsc()
+    coo = constrained.tocoo()
+    same = (order[coo.row] == order[coo.col]) & (order[coo.row] >= 0)
+    return sparse.coo_matrix(
+        (coo.data[same], (place[coo.row[same]], place[coo.col[same]])),
+        shape=(kept.size,) * 2,
+    ).tocsc()
 
 
-def _preconditioned_solve(lio, constrained, rhs, d: int):
+def _preconditioned_solve(constrained, rhs, d: int):
     """GMRES on the constrained system, preconditioned by its undriven part.
 
-    The undriven part conserves the coherence order k, so it is
-    block-diagonal in k. A Lindblad generator maps rho' to L(rho)', so
-    block -k is the complex conjugate of block k under i <-> j: only
-    k >= 0 is factored, and the trace row lies in block 0, its own
-    mirror. Within each block the jump terms lower N_i and N_j together,
-    so in ascending N_i the matrix is block upper triangular by level:
-    off-diagonal entries reach only level N_i + 1, and the trace row
-    reaches every level. Each level's diagonal block is factored on its
-    own, in natural order, and the factors are applied by block
-    back-substitution from the top level down. The off-diagonal blocks
-    are multiplied, never factored, so they create no fill. The k >= 0
-    part of the right-hand side and the conjugated k <= 0 part go through
-    one two-column pass. Returns None when the preconditioner does not
-    apply or GMRES does not converge.
+    Returns None when d is not a dimension of the documented basis, a
+    level block is singular, or GMRES does not converge.
     """
-    if _excitation_number(d) is None:
+    levels = _levels(d)
+    if levels is None:
         return None
-    kept, mirrored, positive, _, _, bounds = _levels(d)
-    matrix = _preconditioner_matrix(lio, d)
+    kept, mirrored, positive, _, _, bounds = levels
+    matrix = _preconditioner_matrix(constrained, d)
     factors = []
     try:
         for start, stop in zip(bounds[:-1], bounds[1:]):
@@ -381,18 +327,9 @@ def _preconditioned_solve(lio, constrained, rhs, d: int):
 def steady_density_matrix(liouvillian) -> SteadyDensityMatrix:
     """Null vector of the Liouvillian normalized to unit trace.
 
-    One superoperator row is replaced by the trace constraint. The
-    constrained system is solved by GMRES, preconditioned with its
-    undriven part (the Liouvillian without the coherent drive) and
-    started from that preconditioner's solution. The preconditioner
-    covers the coherence orders k >= 0, factored one excitation level at
-    a time and applied by block back-substitution; the orders k < 0 are
-    solved as their complex-conjugate mirrors. If the dimension is not
-    (n+1)**2 * 4, a level block is singular, or GMRES does not converge,
-    the full constrained system is factored directly instead. The
-    residual of the original Liouvillian is checked against 1e-8. Raises
-    if the null space is degenerate or the result violates Hermiticity,
-    trace, or positivity tolerances.
+    Raises NonUniqueSteadyStateError if the null space is degenerate, and
+    SteadyStateError if the residual of the Liouvillian exceeds 1e-8 or
+    the result violates the Hermiticity, trace or positivity tolerance.
     """
     lio = sparse.csc_matrix(liouvillian)
     n2 = lio.shape[0]
@@ -405,10 +342,10 @@ def steady_density_matrix(liouvillian) -> SteadyDensityMatrix:
     constrained = _trace_constrained(lio)
     rhs = np.zeros(n2, dtype=complex)
     rhs[0] = 1.0
-    vec = _preconditioned_solve(lio, constrained, rhs, d)
+    vec = _preconditioned_solve(constrained, rhs, d)
     if vec is None:
         try:
-            vec = splu(constrained.tocsc(), permc_spec=_PERMC_SPEC).solve(rhs)
+            vec = splu(constrained.tocsc()).solve(rhs)
         except RuntimeError as exc:
             null_dim = _diagnose_singular(lio)
             if null_dim is not None and null_dim > 1:

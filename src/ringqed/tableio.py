@@ -94,13 +94,14 @@ def finite(value) -> bool:
 
     Strings are not numbers here, even when they parse as one, so a
     validator that passes a value on to arithmetic never sees one. Nor
-    are booleans, so a JSON true never runs as 1.
+    are booleans, so a JSON true never runs as 1, nor integers too large
+    for a float.
     """
     if isinstance(value, (str, bytes, bool)):
         return False
     try:
         return math.isfinite(float(value))
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         return False
 
 

@@ -140,6 +140,15 @@ def test_optimal_coupling_validation():
         optimal_coupling(20.0, 0.0, 5.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, "5", True])
+@pytest.mark.parametrize("slot", range(3))
+def test_optimal_coupling_rejects_non_finite_inputs(slot, bad):
+    args = [20.0, 1.0, 5.0]
+    args[slot] = bad
+    with pytest.raises(ValidationError, match="finite"):
+        optimal_coupling(*args)
+
+
 # --- polariton eigenvalues ---
 
 

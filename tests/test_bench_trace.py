@@ -1,10 +1,10 @@
-"""The benchmark's traced design pass reaches every name it requires.
+"""The benchmark's traced design and certify passes reach every required name.
 
 A traced ``bench/run.py`` run reads ``"correct": false`` when a job misses
 its output check or when a wrapper of ``bench/tracing.py`` records no
 call, so a rewrite that stops calling a required name fails the benchmark
-with exit 0. This test runs one sweep and the optimize job of design pass
-0 under that tracer. It imports the benchmark's modules and changes none.
+with exit 0. These tests run a few jobs of pass 0 under that tracer. They
+import the benchmark's modules and change none.
 """
 
 import importlib.util
@@ -12,7 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-from ringqed import cli
+from ringqed import cli, oracle
 from ringqed.model import DriveSpec, SystemParams, transmission
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -32,13 +32,10 @@ def load_bench_module(name, monkeypatch):
     return module
 
 
-def test_traced_design_jobs_call_every_required_name(tmp_path, monkeypatch):
-    tracing = load_bench_module("tracing", monkeypatch)
-    workloads = load_bench_module("workloads", monkeypatch)
+def run_traced(tracing, workloads, workload, chosen, tmp_path):
+    """Run the chosen jobs through cli.main under the benchmark's tracer."""
     # the checker reads transmission before any wrapper is installed
     checker = workloads.Checker(transmission, SystemParams, DriveSpec)
-    jobs = workloads.pass_jobs("design", 1, 0)
-    chosen = [jobs[0], next(job for job in jobs if job.command == "optimize")]
     tracer = tracing.Tracer()
     tracer.install()
     try:
@@ -50,4 +47,27 @@ def test_traced_design_jobs_call_every_required_name(tmp_path, monkeypatch):
             assert checker.check(job, job.config, out, None) is None
     finally:
         tracer.uninstall()
-    assert tracer.uncalled("design") == []
+    assert tracer.uncalled(workload) == []
+
+
+def test_traced_design_jobs_call_every_required_name(tmp_path, monkeypatch):
+    tracing = load_bench_module("tracing", monkeypatch)
+    workloads = load_bench_module("workloads", monkeypatch)
+    jobs = workloads.pass_jobs("design", 1, 0)
+    chosen = [jobs[0], next(job for job in jobs if job.command == "optimize")]
+    run_traced(tracing, workloads, "design", chosen, tmp_path)
+
+
+def test_traced_certify_jobs_call_every_required_name(tmp_path, monkeypatch):
+    tracing = load_bench_module("tracing", monkeypatch)
+    workloads = load_bench_module("workloads", monkeypatch)
+    jobs = workloads.pass_jobs("certify", 1, 0)
+    chosen = [jobs[0], next(job for job in jobs if job.config["validate"]["n_max"] == 4)]
+    assert chosen[0].config["validate"]["n_max"] == 3
+    # the cache calls that the traced benchmark run makes around its pass
+    pieces = oracle._liouvillian_pieces
+    pieces.cache_clear()
+    before = pieces.cache_info()
+    run_traced(tracing, workloads, "certify", chosen, tmp_path)
+    after = pieces.cache_info()
+    assert after.misses - before.misses == 2

@@ -389,6 +389,9 @@ def test_malformed_json_reports_position(tmp_path):
         ("validate", "validate", "drive_amp", "x"),
         ("optimize", "optimize", "fixed_delta12", "x"),
         ("optimize", "optimize", "fixed_delta12", True),
+        # integers too large for a float
+        pytest.param("validate", "params", "g0", 10**400, id="validate-params-g0-1e400"),
+        pytest.param("validate", "validate", "n_max", 10**400, id="validate-n_max-1e400"),
     ],
 )
 def test_wrong_typed_config_value_exits_2(tmp_path, command, section, key, value):

@@ -4,7 +4,7 @@ from functools import reduce
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 from scipy.sparse.linalg import splu
@@ -191,7 +191,8 @@ def test_undriven_part_is_liouvillian_without_drive():
     kept = oracle._levels(d)[0]
     for direction in ("forward", "backward"):
         drive = DriveSpec(direction, 4.0)
-        matrix = oracle._preconditioner_matrix(build_liouvillian(NONIDEAL, driven, drive), d)
+        constrained = oracle._trace_constrained(build_liouvillian(NONIDEAL, driven, drive))
+        matrix = oracle._preconditioner_matrix(constrained, d)
         reference = oracle._trace_constrained(build_liouvillian(NONIDEAL, silent, drive))
         reference = reference[kept][:, kept]
         assert matrix.nnz == reference.nnz
@@ -289,15 +290,18 @@ def test_cutoff_insensitive_at_weak_drive():
     st.sampled_from(["forward", "backward"]),
     st.floats(-50.0, 50.0),
 )
+# no emitter: no drive**2 term, and the cutoff's drive**4 term is all that is left
+@example(SystemParams(g0=0.0, kappa_i=1.0, kappa_ex=0.5, p=0.0, h=0.0), "forward", 0.0)
 def test_drive_limit_extrapolation_matches_linear_model(params, direction, detuning):
-    # the oracle departs from the linear model as drive**2, so Richardson
-    # extrapolation over drives 0.01 and 0.02 removes that term
-    weak, twice = (
+    # the oracle departs from the linear model in even powers of the drive;
+    # Richardson extrapolation over drives 0.01, 0.02 and 0.04 removes the
+    # drive**2 and drive**4 terms
+    t1, t2, t4 = (
         oracle_transmission(params, TruncationSpec(n_max=2, drive_amp=amp), direction, detuning)
-        for amp in (0.01, 0.02)
+        for amp in (0.01, 0.02, 0.04)
     )
     linear = transmission(params, DriveSpec(direction, detuning))
-    assert abs((4.0 * weak - twice) / 3.0 - linear) <= 1e-9
+    assert abs((64.0 * t1 - 20.0 * t2 + t4) / 45.0 - linear) <= 1e-9
 
 
 # --- solver paths ---
@@ -370,7 +374,7 @@ def test_preconditioner_solves_the_constrained_undriven_system(case, seed):
     rhs[0] = 1.0
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(oracle, "gmres", capturing_gmres)
-        oracle._preconditioned_solve(lio, constrained, rhs, d)
+        oracle._preconditioned_solve(constrained, rhs, d)
     conserving, _ = undriven(params, n_max, detuning)
     reference = splu(oracle._trace_constrained(conserving).tocsc())
     rng = np.random.default_rng(seed)
@@ -383,41 +387,39 @@ def test_preconditioner_solves_the_constrained_undriven_system(case, seed):
 @pytest.mark.parametrize("n_max", [1, 2, 3])
 def test_preconditioner_order_is_block_upper_triangular(n_max):
     conserving, d = undriven(NONIDEAL, n_max, 7.0)
-    keep, mirror, n0 = oracle._coherence_order(d)
+    kept = oracle._levels(d)[0]
     order, n_i = excitation_orders(n_max)
-    # k >= 0 in ascending (k, N_i), mirrored onto k <= 0, each index once
-    assert np.all(order[keep] >= 0) and np.all(order[keep][:n0] == 0)
-    assert np.all(np.diff(order[keep] * d + n_i[keep]) >= 0)
-    assert np.array_equal(mirror, swap_indices(d)[keep])
-    assert np.array_equal(np.sort(np.concatenate((keep, mirror[n0:]))), np.arange(d * d))
-    # no entry below the (k, level) diagonal blocks, the trace row included
-    restricted = oracle._trace_constrained(conserving)[keep][:, keep].tocoo()
+    # no entry below the (level, k) diagonal blocks, the trace row included
+    restricted = oracle._trace_constrained(conserving)[kept][:, kept].tocoo()
     assert restricted.nnz > 0
-    rows, cols = keep[restricted.row], keep[restricted.col]
+    rows, cols = kept[restricted.row], kept[restricted.col]
     assert np.array_equal(order[rows], order[cols])
     assert np.all(n_i[rows] <= n_i[cols])
     assert np.any(n_i[rows] < n_i[cols])
     # jumps reach the next level only; the trace row (vec index 0) every level
     above = (n_i[rows] < n_i[cols]) & (rows != 0)
     assert np.all(n_i[cols[above]] == n_i[rows[above]] + 1)
-    assert np.array_equal(np.unique(n_i[cols[rows == 0]]), np.unique(n_i[keep]))
+    assert np.array_equal(np.unique(n_i[cols[rows == 0]]), np.unique(n_i[kept]))
 
 
 @pytest.mark.parametrize("n_max", [1, 2, 3])
-def test_levels_regroup_the_coherence_order(n_max):
+def test_levels_sort_the_orders_k_nonnegative_by_level_then_order(n_max):
     d = TruncationSpec(n_max=n_max).dimension
-    keep, _, _ = oracle._coherence_order(d)
     kept, mirrored, positive, place, order, bounds = oracle._levels(d)
     k, n_i = excitation_orders(n_max)
     assert np.array_equal(order, k)
-    # the same indices in ascending N_i, each level contiguous
-    assert np.array_equal(np.sort(kept), np.sort(keep))
-    assert np.all(np.diff(n_i[kept]) >= 0)
+    # each k >= 0 index once, in ascending (N_i, k, index), each level contiguous
+    assert np.array_equal(np.sort(kept), np.flatnonzero(k >= 0))
+    key = (n_i[kept] * 2 * d + k[kept]) * d * d + kept
+    assert np.all(np.diff(key) > 0)
     assert bounds[0] == 0 and bounds[-1] == kept.size
     for level, (start, stop) in enumerate(zip(bounds[:-1], bounds[1:])):
         assert np.all(n_i[kept[start:stop]] == level)
+    # the mirrors of the k > 0 indices cover k < 0, so kept and they partition
     assert np.array_equal(mirrored, swap_indices(d)[kept])
     assert np.array_equal(positive, np.flatnonzero(k[kept] > 0))
+    covered = np.concatenate((kept, mirrored[positive]))
+    assert np.array_equal(np.sort(covered), np.arange(d * d))
     assert np.array_equal(place[kept], np.arange(kept.size))
     assert np.all(place[k < 0] == -1)
 

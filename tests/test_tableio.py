@@ -91,3 +91,7 @@ def test_finite():
     assert not finite(True)
     assert not finite("1.5")
     assert not finite(None)
+    # float() overflows on an integer beyond the float range
+    assert finite(10**300)
+    assert not finite(10**400)
+    assert not finite(-(10**400))
