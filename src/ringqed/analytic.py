@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import ConstraintError, SingularSystemError, ValidationError
 from .model import DriveSpec, SystemParams, coupling_matrix
@@ -92,13 +91,14 @@ def isolation_conditions(
             "isolation conditions require kappa_ex > kappa_i "
             "(got kappa_ex=%g, kappa_i=%g)" % (kappa_ex, kappa_i)
         )
-    radicand = 2.0 * g0**2 / (gamma * dk) - 1.0
-    if radicand < 0:
+    room = 2.0 * g0**2 / gamma - dk
+    if room < 0:
         raise ConstraintError(
             "isolation conditions require g0^2 >= gamma*(kappa_ex - kappa_i)/2 "
             "(got g0^2=%g, bound=%g)" % (g0**2, gamma * dk / 2.0)
         )
-    s = math.sqrt(radicand)
+    # s = sqrt(room / dk) as a quotient of roots, finite as kappa_ex -> kappa_i
+    s = math.sqrt(room) / math.sqrt(dk)
     return (gamma - 2.0 * dk) * s, -dk * s
 
 
@@ -119,43 +119,50 @@ def _isolation_params(g0, gamma, kappa_i, kappa_ex) -> tuple[SystemParams, Drive
 def optimal_coupling(g0: float, gamma: float, kappa_i: float) -> IsolationPoint:
     """Waveguide coupling maximizing forward transmission at zero backward.
 
-    The forward transmission along the zero-backward-transmission line can
-    be bimodal in kappa_ex, with one candidate in the narrow window
-    (kappa_i, kappa_i + gamma/2) and one beyond it, so both regimes are
-    searched independently and the better optimum is returned.
+    Along the zero-backward-transmission line, with x = kappa_ex - kappa_i
+    in (0, 2*g0^2/gamma], the forward transmission is a rational function
+    of x. For kappa_i > 0 it vanishes at both ends and at x = gamma/2, and
+    its other stationary points are the real roots of
+
+        2*gamma*kappa_i*x^2 - (g0^2*gamma + 4*g0^2*kappa_i + gamma^2*kappa_i)*x
+            + g0^2*gamma*kappa_i
+        (2*gamma^2 + 4*gamma*kappa_i)*x^3 - (2*g0^2*gamma + 8*g0^2*kappa_i)*x^2
+            + (2*g0^2*gamma*kappa_i - g0^2*gamma^2)*x - g0^2*gamma^2*kappa_i
+
+    so the maximum is the feasible root with the highest transmission.
+    Every candidate is a point of the line, so an inexact root can cost
+    transmission but never feasibility.
+
+    At kappa_i = 0 the transmission tends to 1 as kappa_ex -> 0+, a
+    supremum no coupling attains, so that case raises ValidationError.
     """
     _check_rates(g0, gamma, kappa_i)
     if g0 <= 0:
         raise ValidationError("optimal_coupling requires g0 > 0")
-
-    def negative_tf(kappa_ex: float) -> float:
-        try:
-            params, drive = _isolation_params(g0, gamma, kappa_i, kappa_ex)
-        except ConstraintError:
-            return 0.0
-        return -ideal_transmission(params, drive)
-
-    edge = 1e-9 * max(gamma, kappa_i, 1.0)
-    split = kappa_i + gamma / 2.0
-    regimes = (
-        (kappa_i + edge, split),
-        (split, split + 10.0 * g0),
-    )
-    best = None
-    for lo, hi in regimes:
-        res = minimize_scalar(
-            negative_tf, bounds=(lo, hi), method="bounded", options={"xatol": 1e-6}
+    if kappa_i == 0:
+        raise ValidationError(
+            "optimal_coupling requires kappa_i > 0: at kappa_i = 0 the forward "
+            "transmission tends to 1 as kappa_ex -> 0 and has no maximum"
         )
-        if best is None or res.fun < best.fun:
-            best = res
-    kappa_ex = float(best.x)
-    delta12, delta_c = isolation_conditions(g0, gamma, kappa_i, kappa_ex)
-    return IsolationPoint(
-        kappa_ex=kappa_ex,
-        delta12=delta12,
-        delta_c=delta_c,
-        t_fwd_predicted=float(-best.fun),
-    )
+    g2, ki = g0 * g0, kappa_i
+    # the quadratic's roots are real and positive; the smaller one, near
+    # kappa_i when kappa_i is small, is taken without cancellation
+    b = g2 * gamma + (4 * g2 + gamma**2) * ki
+    q = b + math.sqrt(b * b - 8 * g2 * (gamma * ki) ** 2)
+    cubic = np.roots([
+        2 * gamma**2 + 4 * gamma * ki,
+        -(2 * g2 * gamma + 8 * g2 * ki),
+        2 * g2 * gamma * ki - g2 * gamma**2,
+        -g2 * gamma**2 * ki,
+    ])
+    roots = np.array([ki * (2 * g2 * gamma / q), q / (4 * gamma) / ki, *cubic.real])
+    points = []
+    for x in roots[(roots > 0) & (roots < 2 * g2 / gamma)]:
+        params, drive = _isolation_params(g0, gamma, ki, ki + float(x))
+        points.append(IsolationPoint(
+            params.kappa_ex, params.delta12, drive.detuning, ideal_transmission(params, drive)
+        ))
+    return max(points, key=lambda point: point.t_fwd_predicted)
 
 
 def polariton_eigenvalues(params: SystemParams) -> np.ndarray:

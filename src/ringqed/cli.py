@@ -36,10 +36,15 @@ from .optimize import (
     save_zero_trace,
     sweep_grid,
 )
-from .oracle import TruncationSpec, oracle_transmission
 from .tableio import finite, write_json, write_table
 
 VALIDATE_COLUMNS = ("delta_c", "direction", "t_linear", "t_oracle", "rel_dev")
+
+# Most points of one grid: spectrum.n, eigen.n, validate.n, and the nodes
+# of a sweep. A sweep node holds about 5 kB of working arrays and a
+# spectrum point about 1 kB, so a larger grid is a config error, not an
+# allocation of gigabytes.
+MAX_GRID_POINTS = 100_000
 
 
 def _load_config(path) -> dict:
@@ -138,6 +143,8 @@ def _grid(block: dict, section: str) -> np.ndarray:
         raise ConfigError("%s start/stop must be finite numbers" % section)
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ConfigError("%s n must be a positive integer" % section)
+    if n > MAX_GRID_POINTS:
+        raise ConfigError("%s n must be at most %d" % (section, MAX_GRID_POINTS))
     return np.linspace(float(start), float(stop), n)
 
 
@@ -224,6 +231,8 @@ def _run_sweep(config, params, threads):
     d12_axis = _subgrid(
         block, "delta12", {"start": 0.0, "stop": 80.0 * gamma, "n": 21}, "sweep"
     )
+    if kex_axis.size * d12_axis.size > MAX_GRID_POINTS:
+        raise ConfigError("sweep kappa_ex.n * delta12.n must be at most %d" % MAX_GRID_POINTS)
     block = {
         "kappa_ex": {
             "start": float(kex_axis[0]),
@@ -257,6 +266,9 @@ def _run_validate(config, params, threads):
             "directions": ["forward", "backward"],
         },
     )
+    # the oracle, and with it scipy.sparse, loads only for this command
+    from .oracle import TruncationSpec, oracle_transmission
+
     directions = block["directions"]
     if not isinstance(directions, list) or not directions or any(
         d not in ("forward", "backward") for d in directions

@@ -27,7 +27,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.polynomial import polynomial as P
-from scipy.optimize import minimize, minimize_scalar
 
 from .analytic import IsolationPoint, polariton_modes
 from .errors import ContinuationError, NoDipError, ValidationError
@@ -299,6 +298,25 @@ def cavity_dip_detuning(params_fixed: SystemParams, kappa_ex, delta12) -> np.nda
     x[i, j, 0, r], depth[i, j, 0, r] = polished
     tb = np.where((lo + edge < x) & (x < hi - edge), depth, np.inf)
     return _pick_dip(weight[..., 0], np.broadcast_to(x, tb.shape), tb)
+
+
+def minimize(*args, **kwargs):
+    """scipy.optimize.minimize, imported on the first call.
+
+    Importing scipy.optimize costs more than most commands' work, so this
+    module imports it only when a search runs. Both wrappers are module
+    attributes, which bench/tracing.py wraps by name.
+    """
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
+
+
+def minimize_scalar(*args, **kwargs):
+    """scipy.optimize.minimize_scalar, imported on the first call."""
+    from scipy.optimize import minimize_scalar as scipy_minimize_scalar
+
+    return scipy_minimize_scalar(*args, **kwargs)
 
 
 def _minimize_tb(params, seed):

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ringqed.analytic import (
     eigenvalue_sweep,
@@ -138,6 +140,53 @@ def test_optimal_coupling_validation():
         optimal_coupling(0.0, 1.0, 5.0)
     with pytest.raises(ValidationError):
         optimal_coupling(20.0, 0.0, 5.0)
+
+
+def forward_on_zero_line(g0, gamma, kappa_i, kappa_ex):
+    delta12, delta_c = isolation_conditions(g0, gamma, kappa_i, kappa_ex)
+    params = SystemParams(g0=g0, kappa_i=kappa_i, kappa_ex=kappa_ex, gamma=gamma,
+                          delta12=delta12)
+    return ideal_transmission(params, DriveSpec("forward", delta_c))
+
+
+@settings(max_examples=300)
+@given(
+    st.floats(0.01, 3.0),
+    st.floats(0.05, 5.0),
+    # subnormal kappa_i is below the resolution of the 1% neighbours
+    st.floats(0.0, 5.0, exclude_min=True, allow_subnormal=False),
+)
+# g0 < gamma/2: the optimum lies below kappa_i + gamma/2, where a bracketed
+# search over (kappa_i + gamma/2, ...) found no feasible point and raised
+@example(1.0, 4.0, 0.5)
+def test_optimal_coupling_is_a_feasible_maximum(g0, gamma, kappa_i):
+    pt = optimal_coupling(g0, gamma, kappa_i)
+    x = pt.kappa_ex - kappa_i
+    assert 0.0 < x <= 2.0 * g0**2 / gamma
+    assert isolation_conditions(g0, gamma, kappa_i, pt.kappa_ex) == (pt.delta12, pt.delta_c)
+    assert pt.t_fwd_predicted == forward_on_zero_line(g0, gamma, kappa_i, pt.kappa_ex)
+    for scale in (0.99, 1.01):
+        if scale * x < 2.0 * g0**2 / gamma:
+            # 1e-12 absorbs rounding where T_f is flat to double precision
+            other = forward_on_zero_line(g0, gamma, kappa_i, kappa_i + scale * x)
+            assert pt.t_fwd_predicted >= other - 1e-12
+
+
+def test_optimal_coupling_below_half_gamma_reference():
+    # T_f = 1/9 here, from the quadratic factor of dT_f/dx
+    pt = optimal_coupling(1.0, 4.0, 0.5)
+    assert pt.kappa_ex == pytest.approx(0.6492189406417879, rel=1e-12)
+    assert pt.t_fwd_predicted == pytest.approx(1.0 / 9.0, rel=1e-12)
+
+
+def test_optimal_coupling_needs_intrinsic_loss():
+    # at kappa_i = 0, T_f -> 1 as kappa_ex -> 0: a supremum, not a maximum
+    with pytest.raises(ValidationError, match="kappa_i > 0"):
+        optimal_coupling(1.0, 4.0, 0.0)
+    for kappa_i in (1e-3, 1e-9):
+        pt = optimal_coupling(1.0, 4.0, kappa_i)
+        assert pt.t_fwd_predicted > 1.0 - 10.0 * kappa_i
+        assert pt.kappa_ex < 3.0 * kappa_i
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, "5", True])

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import ringqed
-from ringqed.cli import main
+from ringqed.cli import MAX_GRID_POINTS, main
 from ringqed.helicity import (
     FieldGrid,
     HELICITY_MAP_COLUMNS,
@@ -419,6 +419,43 @@ def test_wrong_typed_config_value_exits_2(tmp_path, command, section, key, value
     assert key in error["message"]
 
 
+@pytest.mark.parametrize("n", [MAX_GRID_POINTS + 1, 10**400], ids=["bound+1", "1e400"])
+@pytest.mark.parametrize(
+    "command, path",
+    [
+        ("spectrum", ("spectrum",)),
+        ("eigen", ("eigen",)),
+        ("validate", ("validate",)),
+        ("sweep", ("sweep", "kappa_ex")),
+        ("sweep", ("sweep", "delta12")),
+    ],
+)
+def test_grid_above_bound_exits_2(tmp_path, command, path, n):
+    payload = {"params": IDEAL_PARAMS}
+    node = payload
+    for key in path:
+        node = node.setdefault(key, {})
+    node["n"] = n
+    config = write_config(tmp_path / "c.json", payload)
+    out = tmp_path / "out"
+    assert run(command, config, out) == 2
+    error = json.loads((out / "error.json").read_text(encoding="utf-8"))
+    assert error["exit_code"] == 2
+    assert "%s n must be at most %d" % (".".join(path), MAX_GRID_POINTS) in error["message"]
+    assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+
+
+def test_sweep_nodes_above_bound_exit_2(tmp_path):
+    side = math.isqrt(MAX_GRID_POINTS) + 1
+    payload = {"params": IDEAL_PARAMS, "sweep": {"kappa_ex": {"n": side}, "delta12": {"n": side}}}
+    config = write_config(tmp_path / "c.json", payload)
+    out = tmp_path / "out"
+    assert run("sweep", config, out) == 2
+    error = json.loads((out / "error.json").read_text(encoding="utf-8"))
+    assert "kappa_ex.n * delta12.n must be at most %d" % MAX_GRID_POINTS in error["message"]
+    assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+
+
 def test_bad_threads_exit_2(tmp_path):
     config = write_config(tmp_path / "c.json", {"params": IDEAL_PARAMS})
     assert run("spectrum", config, tmp_path / "out", "--threads", "0") == 2
@@ -432,15 +469,53 @@ def test_bad_set_syntax_exits_2(tmp_path):
 # --- console entry point ---
 
 
-def test_console_script_version():
-    # the subprocess imports the same package as this process, installed or not
+def fresh_python(*args):
+    """Run a fresh interpreter on the package this process imports, installed or not."""
     src = str(Path(ringqed.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-m", "ringqed.cli", "--version"],
+    return subprocess.run(
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
     )
+
+
+def test_console_script_version():
+    proc = fresh_python("-m", "ringqed.cli", "--version")
     assert proc.returncode == 0
     assert proc.stdout.strip().startswith("ringqed ")
+
+
+# --- import paths: only validate loads scipy ---
+
+
+def scipy_loaded_by(code, *argv):
+    """Modules of scipy loaded after code runs in a fresh interpreter with argv."""
+    report = "print(json.dumps([m for m in sys.modules if m.split('.')[0] == 'scipy']))"
+    proc = fresh_python("-c", "import json, sys\n%s\n%s" % (code, report), *argv)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+@pytest.mark.parametrize("module", ["ringqed", "ringqed.cli"])
+def test_import_loads_no_scipy(module):
+    assert scipy_loaded_by("import " + module) == []
+
+
+def test_sweep_runs_without_scipy(tmp_path):
+    payload = {"params": NONIDEAL_PARAMS, "sweep": REPLAY_SECTIONS["sweep"]}
+    config = write_config(tmp_path / "c.json", payload)
+    code = "from ringqed.cli import main\nassert main(sys.argv[1:]) == 0"
+    assert scipy_loaded_by(code, "sweep", config, "--out-dir", str(tmp_path)) == []
+    assert (tmp_path / "sweep_trace.csv").is_file()
+
+
+def test_validate_loads_scipy_sparse_but_not_optimize(tmp_path):
+    payload = {"params": IDEAL_PARAMS, "validate": REPLAY_SECTIONS["validate"]}
+    config = write_config(tmp_path / "c.json", payload)
+    code = "from ringqed.cli import main\nassert main(sys.argv[1:]) == 0"
+    loaded = scipy_loaded_by(code, "validate", config, "--out-dir", str(tmp_path))
+    assert "scipy.sparse.linalg" in loaded
+    assert not [m for m in loaded if m.startswith("scipy.optimize")]

@@ -16,7 +16,7 @@ from ringqed.errors import (
     TruncationError,
     ValidationError,
 )
-from ringqed.model import DriveSpec, SystemParams, couplings, transmission
+from ringqed.model import DriveSpec, SystemParams, build_linear_system, couplings, transmission
 from ringqed.oracle import (
     TruncationSpec,
     build_liouvillian,
@@ -302,6 +302,34 @@ def test_drive_limit_extrapolation_matches_linear_model(params, direction, detun
     )
     linear = transmission(params, DriveSpec(direction, detuning))
     assert abs((64.0 * t1 - 20.0 * t2 + t4) / 45.0 - linear) <= 1e-9
+
+
+@settings(max_examples=60)
+@given(
+    oracle_params,
+    st.integers(1, 3),
+    st.sampled_from(["forward", "backward"]),
+    st.floats(-60.0, 60.0),
+    st.floats(1e-3, 3.0),
+)
+# no emitter coupling, and every optional term zero, at the smallest cutoff
+@example(SystemParams(g0=0.0, kappa_i=1.0, kappa_ex=0.5, p=0.0, h=0.0), 1, "forward", 0.0, 0.01)
+@example(SystemParams(g0=20.0, kappa_i=3.0, kappa_ex=5.0, p=1.0, h=0.0), 3, "backward", -12.0, 3.0)
+def test_drive_limit_is_the_linear_model_by_construction(params, n_max, direction, detuning, amp):
+    # the expected matrices come from the 4x4 model alone; the coherences
+    # |e><0| with e the single excitations (a, b, sigma1, sigma2), in the
+    # documented basis order, are the vec indices e + d*0 = e
+    drive = DriveSpec(direction, detuning)
+    system = build_linear_system(params, drive)
+    shape = (n_max + 1, n_max + 1, 2, 2)
+    singles = [int(np.ravel_multi_index(e, shape)) for e in np.eye(4, dtype=int)]
+    undriven = build_liouvillian(params, TruncationSpec(n_max=n_max, drive_amp=0.0), drive)
+    columns = undriven[:, singles].toarray()
+    assert np.array_equal(columns[singles], system.matrix)
+    assert not np.delete(columns, singles, axis=0).any()
+    driven = build_liouvillian(params, TruncationSpec(n_max=n_max, drive_amp=amp), drive)
+    from_vacuum = (driven - undriven)[:, [0]].toarray()[:, 0]
+    assert np.array_equal(from_vacuum[singles], -1j * amp * system.drive)
 
 
 # --- solver paths ---
