@@ -14,10 +14,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, astuple, fields
 from datetime import datetime, timezone
 from pathlib import Path
@@ -27,7 +25,6 @@ import numpy as np
 from . import __version__
 from .analytic import eigenvalue_sweep, save_eigenvalue_sweep
 from .errors import ConfigError, RingqedError, TruncationError, ValidationError
-from .helicity import load_field_grid, map_helicity, save_helicity_map
 from .model import DriveSpec, SystemParams, save_spectrum, spectrum, transmission
 from .optimize import (
     OptimizationResult,
@@ -50,7 +47,7 @@ MAX_GRID_POINTS = 100_000
 def _load_config(path) -> dict:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError("cannot read config %s: %s" % (path, exc)) from exc
     try:
         config = json.loads(text)
@@ -59,6 +56,8 @@ def _load_config(path) -> dict:
             "invalid JSON in %s: %s (line %d, column %d)"
             % (path, exc.msg, exc.lineno, exc.colno)
         ) from exc
+    except RecursionError as exc:
+        raise ConfigError("config %s nests too deeply" % path) from exc
     if not isinstance(config, dict):
         raise ConfigError("config root must be a JSON object")
     return config
@@ -74,6 +73,8 @@ def _apply_overrides(config: dict, assignments) -> None:
             value = json.loads(raw)
         except ValueError:
             value = raw
+        except RecursionError as exc:
+            raise ConfigError("--set value for %r nests too deeply" % key) from exc
         node = config
         parts = key.split(".")
         for part in parts[:-1]:
@@ -149,6 +150,7 @@ def _grid(block: dict, section: str) -> np.ndarray:
 
 
 def _subgrid(block: dict, key: str, defaults: dict, section: str) -> np.ndarray:
+    """The axis block[key] over defaults; block[key] becomes its resolved form."""
     raw = block[key]
     if not isinstance(raw, dict):
         raise ConfigError("%s.%s must be a JSON object" % (section, key))
@@ -157,17 +159,12 @@ def _subgrid(block: dict, key: str, defaults: dict, section: str) -> np.ndarray:
         raise ConfigError(
             "unknown key(s) in %s.%s: %s" % (section, key, ", ".join(unknown))
         )
-    return _grid({**defaults, **raw}, "%s.%s" % (section, key))
+    axis = _grid({**defaults, **raw}, "%s.%s" % (section, key))
+    block[key] = {"start": float(axis[0]), "stop": float(axis[-1]), "n": int(axis.size)}
+    return axis
 
 
-def _parallel_map(fn, items, threads):
-    if threads <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
-def _run_spectrum(config, params, threads):
+def _run_spectrum(config, params):
     gamma = params.gamma
     block = _block(
         config,
@@ -179,7 +176,7 @@ def _run_spectrum(config, params, threads):
     return block, {"spectrum.csv": lambda p: save_spectrum(p, result)}
 
 
-def _run_eigen(config, params, threads):
+def _run_eigen(config, params):
     gamma = params.gamma
     block = _block(
         config,
@@ -197,7 +194,7 @@ def _run_eigen(config, params, threads):
     return block, {"eigen.csv": lambda p: save_eigenvalue_sweep(p, values, eigenvalues)}
 
 
-def _run_helicity(config, params, threads):
+def _run_helicity(config, params):
     block = _block(
         config,
         "helicity",
@@ -205,6 +202,9 @@ def _run_helicity(config, params, threads):
     )
     if not isinstance(block["input"], str) or not block["input"]:
         raise ConfigError("helicity.input must name a field-grid CSV file")
+    # the helicity module loads only for this command
+    from .helicity import load_field_grid, map_helicity, save_helicity_map
+
     grid = load_field_grid(
         block["input"], mode_number=block["mode_number"], label=block["label"]
     )
@@ -212,39 +212,24 @@ def _run_helicity(config, params, threads):
     return block, {"helicity.csv": lambda p: save_helicity_map(p, grid, hmap)}
 
 
-def _run_optimize(config, params, threads):
+def _run_optimize(config, params):
     block = _block(config, "optimize", {"fixed_delta12": None})
     result = maximize_contrast(params, fixed_delta12=block["fixed_delta12"])
     columns = [f.name for f in fields(OptimizationResult)]
     return block, {"optimize.csv": lambda p: write_table(p, columns, [astuple(result)])}
 
 
-def _run_sweep(config, params, threads):
+def _run_sweep(config, params):
     gamma, ki = params.gamma, params.kappa_i
     block = _block(config, "sweep", {"kappa_ex": {}, "delta12": {}})
     kex_axis = _subgrid(
-        block,
-        "kappa_ex",
-        {"start": ki, "stop": ki + 20.0 * gamma, "n": 21},
-        "sweep",
+        block, "kappa_ex", {"start": ki, "stop": ki + 20.0 * gamma, "n": 21}, "sweep"
     )
     d12_axis = _subgrid(
         block, "delta12", {"start": 0.0, "stop": 80.0 * gamma, "n": 21}, "sweep"
     )
     if kex_axis.size * d12_axis.size > MAX_GRID_POINTS:
         raise ConfigError("sweep kappa_ex.n * delta12.n must be at most %d" % MAX_GRID_POINTS)
-    block = {
-        "kappa_ex": {
-            "start": float(kex_axis[0]),
-            "stop": float(kex_axis[-1]),
-            "n": int(kex_axis.size),
-        },
-        "delta12": {
-            "start": float(d12_axis[0]),
-            "stop": float(d12_axis[-1]),
-            "n": int(d12_axis.size),
-        },
-    }
     contour = sweep_grid(params, kex_axis, d12_axis)
     return block, {
         "sweep.csv": lambda p: save_contour(p, contour),
@@ -252,7 +237,7 @@ def _run_sweep(config, params, threads):
     }
 
 
-def _run_validate(config, params, threads):
+def _run_validate(config, params):
     gamma = params.gamma
     block = _block(
         config,
@@ -281,17 +266,13 @@ def _run_validate(config, params, threads):
         trunc = TruncationSpec(n_max=block["n_max"], drive_amp=block["drive_amp"])
     except TruncationError as exc:
         raise ConfigError(str(exc)) from exc
-    grid = _grid(block, "validate")
-    tasks = [(float(dc), d) for dc in grid for d in directions]
-
-    def work(task):
-        dc, direction = task
-        t_lin = transmission(params, DriveSpec(direction, dc))
-        t_orc = oracle_transmission(params, trunc, direction, dc)
-        rel = abs(t_orc - t_lin) / max(abs(t_lin), 1e-2)
-        return (dc, direction, t_lin, t_orc, rel)
-
-    rows = _parallel_map(work, tasks, threads)
+    rows = []
+    for dc in _grid(block, "validate").tolist():
+        for direction in directions:
+            t_lin = transmission(params, DriveSpec(direction, dc))
+            t_orc = oracle_transmission(params, trunc, direction, dc)
+            rel = abs(t_orc - t_lin) / max(abs(t_lin), 1e-2)
+            rows.append((dc, direction, t_lin, t_orc, rel))
     return block, {"validate.csv": lambda p: write_table(p, VALIDATE_COLUMNS, rows)}
 
 
@@ -348,7 +329,7 @@ def main(argv=None) -> int:
             "--threads",
             type=int,
             default=1,
-            help="worker threads for independent grid points",
+            help="accepted for compatibility; has no effect (N >= 1)",
         )
     args = parser.parse_args(argv)
 
@@ -367,7 +348,7 @@ def main(argv=None) -> int:
             params = _resolve_params(config, command)
         started = time.perf_counter()
         _, runner = COMMANDS[command]
-        block, writers = runner(config, params, args.threads)
+        block, writers = runner(config, params)
         for filename, writer in writers.items():
             writer(out_dir / filename)
         if params is None:

@@ -87,21 +87,9 @@ class SteadyDensityMatrix:
 
     matrix: np.ndarray
 
-    @property
-    def dimension(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def n_max(self) -> int:
-        return math.isqrt(self.dimension // 4) - 1
-
     def expectation(self, operator) -> complex:
         """Tr(operator @ rho) for a sparse or dense operator."""
         return complex(np.trace(operator @ self.matrix))
-
-    @property
-    def purity(self) -> float:
-        return float(np.real(np.trace(self.matrix @ self.matrix)))
 
 
 @lru_cache(maxsize=8)

@@ -52,7 +52,7 @@ def read_table(path, required_columns=None):
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise GridError("cannot read table %s: %s" % (path, exc)) from exc
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:

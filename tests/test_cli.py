@@ -466,6 +466,84 @@ def test_bad_set_syntax_exits_2(tmp_path):
     assert run("spectrum", config, tmp_path / "out", "--set", "no-equals") == 2
 
 
+def as_bytes(payload):
+    return json.dumps(payload).encode("utf-8")
+
+
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize(
+    "command, config, extra, code, error",
+    [
+        pytest.param("spectrum", None, (), 2, "ConfigError", id="unreadable-config"),
+        pytest.param("spectrum", b'{"params": "\xff"}', (), 2, "ConfigError", id="config-not-utf8"),
+        pytest.param("spectrum", DEEP.encode(), (), 2, "ConfigError", id="config-too-deep"),
+        pytest.param("spectrum", b"[1, 2]", (), 2, "ConfigError", id="root-not-object"),
+        pytest.param(
+            "spectrum", as_bytes({"params": IDEAL_PARAMS}), ("--set", "params.g0.x=1"),
+            2, "ConfigError", id="set-crosses-number",
+        ),
+        pytest.param(
+            "spectrum", as_bytes({"params": IDEAL_PARAMS}), ("--set", "params.x=" + DEEP),
+            2, "ConfigError", id="set-value-too-deep",
+        ),
+        pytest.param(
+            "spectrum", as_bytes({"params": IDEAL_PARAMS, "spectrum": [1]}), (),
+            2, "ConfigError", id="section-not-object",
+        ),
+        pytest.param(
+            "spectrum", as_bytes({"params": [1]}), (), 2, "ConfigError", id="params-not-object"
+        ),
+        *[
+            pytest.param(
+                "spectrum", as_bytes({"params": IDEAL_PARAMS, "spectrum": section}), (),
+                2, "ConfigError", id="spectrum-%s" % name,
+            )
+            for name, section in [
+                ("start-nan", {"start": float("nan")}),
+                ("stop-inf", {"stop": float("inf")}),
+                ("n-float", {"n": 5.0}),
+                ("n-zero", {"n": 0}),
+            ]
+        ],
+        pytest.param(
+            "sweep", as_bytes({"params": IDEAL_PARAMS, "sweep": {"kappa_ex": 3}}), (),
+            2, "ConfigError", id="sweep-axis-not-object",
+        ),
+        pytest.param(
+            "sweep", as_bytes({"params": IDEAL_PARAMS, "sweep": {"delta12": {"step": 1}}}), (),
+            2, "ConfigError", id="sweep-axis-unknown-key",
+        ),
+        *[
+            pytest.param(
+                "validate", as_bytes({"params": IDEAL_PARAMS, "validate": {"directions": d}}),
+                (), 2, "ConfigError", id="validate-directions-%s" % name,
+            )
+            for name, d in [("empty", []), ("string", "forward"), ("unknown", ["sideways"])]
+        ],
+        pytest.param(
+            "helicity", as_bytes({"helicity": {"input": "latin1.csv"}}), (),
+            1, "GridError", id="field-grid-not-utf8",
+        ),
+        pytest.param(
+            "eigen", as_bytes({"params": IDEAL_PARAMS, "eigen": {"n": 3}}), (),
+            1, "IsADirectoryError", id="output-not-writable",
+        ),
+    ],
+)
+def test_exit_path_writes_error_json(tmp_path, monkeypatch, command, config, extra, code, error):
+    monkeypatch.chdir(tmp_path)
+    # a field grid that is not UTF-8, and a directory where eigen.csv goes
+    Path("latin1.csv").write_bytes(b"rho,z\n\xe9,0\n")
+    Path("out", "eigen.csv").mkdir(parents=True)
+    if config is not None:
+        Path("c.json").write_bytes(config)
+    assert main([command, "c.json", "--out-dir", "out", *extra]) == code
+    record = json.loads(Path("out", "error.json").read_text(encoding="utf-8"))
+    assert (record["error"], record["exit_code"]) == (error, code)
+
+
 # --- console entry point ---
 
 
@@ -488,20 +566,29 @@ def test_console_script_version():
     assert proc.stdout.strip().startswith("ringqed ")
 
 
-# --- import paths: only validate loads scipy ---
+# --- import paths: only validate loads scipy, only its command a module ---
 
 
-def scipy_loaded_by(code, *argv):
-    """Modules of scipy loaded after code runs in a fresh interpreter with argv."""
-    report = "print(json.dumps([m for m in sys.modules if m.split('.')[0] == 'scipy']))"
+def modules_loaded_by(code, *argv):
+    """sys.modules after code runs in a fresh interpreter with argv."""
+    report = "print(json.dumps(sorted(sys.modules)))"
     proc = fresh_python("-c", "import json, sys\n%s\n%s" % (code, report), *argv)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def scipy_loaded_by(code, *argv):
+    """Modules of scipy loaded after code runs in a fresh interpreter with argv."""
+    return [m for m in modules_loaded_by(code, *argv) if m.split(".")[0] == "scipy"]
+
+
 @pytest.mark.parametrize("module", ["ringqed", "ringqed.cli"])
 def test_import_loads_no_scipy(module):
-    assert scipy_loaded_by("import " + module) == []
+    # helicity and validate load their modules when they run, and no
+    # command runs a thread pool
+    command_only = {"ringqed.helicity", "ringqed.oracle", "concurrent.futures"}
+    loaded = modules_loaded_by("import " + module)
+    assert [m for m in loaded if m.split(".")[0] == "scipy" or m in command_only] == []
 
 
 def test_sweep_runs_without_scipy(tmp_path):

@@ -2,6 +2,7 @@ import re
 from pathlib import Path
 
 import ringqed
+from ringqed import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -16,3 +17,9 @@ def test_readme_example_runs_and_names_the_namespace(capsys):
     for name in ringqed.__all__:
         getattr(ringqed, name)
         assert name == "__version__" or "`%s`" % name in text
+
+
+def test_readme_command_table_names_every_command():
+    text = README.read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `(\w+)` +\|", text, flags=re.MULTILINE)
+    assert rows == list(cli.COMMANDS)
