@@ -266,11 +266,11 @@ def _run_validate(config, params):
         trunc = TruncationSpec(n_max=block["n_max"], drive_amp=block["drive_amp"])
     except TruncationError as exc:
         raise ConfigError(str(exc)) from exc
+    grid = _grid(block, "validate").tolist()
     rows = []
-    for dc in _grid(block, "validate").tolist():
-        for direction in directions:
+    for dc, t_row in zip(grid, oracle_transmission(params, trunc, directions, grid).tolist()):
+        for direction, t_orc in zip(directions, t_row):
             t_lin = transmission(params, DriveSpec(direction, dc))
-            t_orc = oracle_transmission(params, trunc, direction, dc)
             rel = abs(t_orc - t_lin) / max(abs(t_lin), 1e-2)
             rows.append((dc, direction, t_lin, t_orc, rel))
     return block, {"validate.csv": lambda p: write_table(p, VALIDATE_COLUMNS, rows)}

@@ -16,7 +16,7 @@ parameter-free superoperators per n_max on one shared sparse pattern, so
 a new parameter set costs one sparse product and no kron.
 
 The steady state solves the Liouvillian with row 0 replaced by the trace
-functional, by GMRES preconditioned with its undriven part. Every term
+functional, by GMRES right-preconditioned with its undriven part. Every term
 but the coherent drive conserves the coherence order k = N_i - N_j, where
 N counts excitations, so the undriven part is the entries of the
 constrained matrix whose row and column share an order k; the trace row
@@ -27,20 +27,23 @@ Damping lowers N_i and N_j together, so in ascending N_i the k >= 0 part
 is block upper triangular by level: jumps reach level N_i + 1 only, the
 trace row every level. Each level's diagonal block gets its own
 natural-order LU, and the off-diagonal blocks are applied by block
-back-substitution, so no LU fills them. Where that does not apply (a
-dimension outside the basis, a singular level block, GMRES not
-converging) a direct LU of the full constrained matrix is the fallback.
+back-substitution, so no LU fills them. The undriven part is the same
+for both directions and every drive amplitude, so the solves at one
+detuning share its factors. Where that does not apply (a dimension
+outside the basis, a singular level block, GMRES not converging) a
+direct LU of the full constrained matrix is the fallback.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import LinearOperator, gmres, splu
+from scipy.sparse.linalg import splu
 
 from .errors import (
     NonUniqueSteadyStateError,
@@ -83,9 +86,16 @@ class TruncationSpec:
 
 @dataclass(frozen=True, eq=False)
 class SteadyDensityMatrix:
-    """Steady-state density matrix over the truncated space."""
+    """Steady-state density matrix over the truncated space.
+
+    preconditioner is the factored undriven part the solve used, or None
+    where none applies. A Liouvillian with the same parameters, cutoff and
+    detuning has the same undriven part, whatever the drive's direction or
+    amplitude, so its `steady_density_matrix` can reuse it.
+    """
 
     matrix: np.ndarray
+    preconditioner: Callable | None = field(default=None, repr=False)
 
     def expectation(self, operator) -> complex:
         """Tr(operator @ rho) for a sparse or dense operator."""
@@ -271,11 +281,11 @@ def _preconditioner_matrix(constrained, d: int) -> sparse.csc_matrix:
     ).tocsc()
 
 
-def _preconditioned_solve(constrained, rhs, d: int):
-    """GMRES on the constrained system, preconditioned by its undriven part.
+def _level_preconditioner(constrained, d: int):
+    """Solve with the undriven part of constrained, factored level by level.
 
-    Returns None when d is not a dimension of the documented basis, a
-    level block is singular, or GMRES does not converge.
+    Returns None when d is not a dimension of the documented basis or a
+    level block is singular.
     """
     levels = _levels(d)
     if levels is None:
@@ -293,7 +303,6 @@ def _preconditioned_solve(constrained, rhs, d: int):
     mirrored_positive = mirrored[positive]
 
     def solve(r):
-        r = np.ravel(r)
         y = np.stack((r[kept], np.conj(r[mirrored])), axis=1)
         for start, stop, lu, above in factors:
             y[start:stop] = lu.solve(y[start:stop])
@@ -304,17 +313,51 @@ def _preconditioned_solve(constrained, rhs, d: int):
         x[mirrored_positive] = np.conj(y[positive, 1])
         return x
 
-    precond = LinearOperator(constrained.shape, matvec=solve, dtype=complex)
-    vec, info = gmres(
-        constrained, rhs, x0=solve(rhs), M=precond,
-        rtol=1e-14, atol=0.0, restart=50, maxiter=20,
-    )
-    return vec if info == 0 else None
+    return solve
 
 
-def steady_density_matrix(liouvillian) -> SteadyDensityMatrix:
+def _gmres(matrix, rhs, precond, restart: int = 50, cycles: int = 20):
+    """Right-preconditioned GMRES from x0 = precond(rhs), or None.
+
+    Each step minimizes the true residual over x0 plus the span of the
+    preconditioned basis vectors, which are kept as in flexible GMRES
+    (Y. Saad, SIAM J. Sci. Comput. 14, 461 (1993)), so k steps apply
+    precond k times and the update needs no further pass. Converged when
+    |rhs - matrix @ x| <= 1e-14 |rhs|; None if that fails after `cycles`
+    restarts of at most `restart` steps.
+    """
+    tol = 1e-14 * np.linalg.norm(rhs)
+    x = precond(rhs)
+    for _ in range(cycles):
+        residual = rhs - matrix @ x
+        beta = np.linalg.norm(residual)
+        if beta <= tol:
+            return x
+        basis, applied = [residual / beta], []
+        hessenberg = np.zeros((restart + 1, restart), dtype=complex)
+        target = np.zeros(restart + 1, dtype=complex)
+        target[0] = beta
+        for step in range(restart):
+            applied.append(precond(basis[step]))
+            w = matrix @ applied[step]
+            for row, v in enumerate(basis):
+                hessenberg[row, step] = np.vdot(v, w)
+                w -= hessenberg[row, step] * v
+            hessenberg[step + 1, step] = norm = np.linalg.norm(w)
+            h, t = hessenberg[: step + 2, : step + 1], target[: step + 2]
+            coef = np.linalg.lstsq(h, t)[0]
+            if norm == 0.0 or np.linalg.norm(h @ coef - t) <= tol:
+                break
+            basis.append(w / norm)
+        x = x + np.stack(applied, axis=1) @ coef
+    return x if np.linalg.norm(rhs - matrix @ x) <= tol else None
+
+
+def steady_density_matrix(liouvillian, preconditioner=None) -> SteadyDensityMatrix:
     """Null vector of the Liouvillian normalized to unit trace.
 
+    preconditioner is the `preconditioner` of an earlier steady state with
+    the same undriven part; by default the undriven part is factored here.
     Raises NonUniqueSteadyStateError if the null space is degenerate, and
     SteadyStateError if the residual of the Liouvillian exceeds 1e-8 or
     the result violates the Hermiticity, trace or positivity tolerance.
@@ -330,7 +373,9 @@ def steady_density_matrix(liouvillian) -> SteadyDensityMatrix:
     constrained = _trace_constrained(lio)
     rhs = np.zeros(n2, dtype=complex)
     rhs[0] = 1.0
-    vec = _preconditioned_solve(constrained, rhs, d)
+    if preconditioner is None:
+        preconditioner = _level_preconditioner(constrained, d)
+    vec = None if preconditioner is None else _gmres(constrained, rhs, preconditioner)
     if vec is None:
         try:
             vec = splu(constrained.tocsc()).solve(rhs)
@@ -366,23 +411,37 @@ def steady_density_matrix(liouvillian) -> SteadyDensityMatrix:
         raise SteadyStateError(
             "steady state violates positivity: min eigenvalue %.3e" % min_eig
         )
-    return SteadyDensityMatrix(matrix=rho)
+    return SteadyDensityMatrix(matrix=rho, preconditioner=preconditioner)
 
 
 def oracle_transmission(
-    params: SystemParams, trunc: TruncationSpec, direction: str, detuning: float
-) -> float:
+    params: SystemParams, trunc: TruncationSpec, direction, detuning
+):
     """Transmission from the full-master-equation steady state.
 
     Uses the same input-output formula as the linearized model with the
     intracavity amplitude per unit probe amplitude taken as
-    Tr(o rho_ss) / drive_amp.
+    Tr(o rho_ss) / drive_amp. direction is "forward", "backward" or a
+    sequence of them, and detuning a number or an array of them. One
+    direction and one detuning give a float; otherwise the result has
+    detuning's shape plus, for a sequence of directions, a last axis over
+    them. All directions at one detuning share one factorization.
     """
     if trunc.drive_amp == 0:
         raise ValidationError("oracle transmission requires a nonzero drive_amp")
-    drive = DriveSpec(direction, detuning)
-    lio = build_liouvillian(params, trunc, drive)
-    rho = steady_density_matrix(lio)
+    names = [direction] if isinstance(direction, str) else list(direction)
+    # the given numbers themselves, for DriveSpec to check
+    detunings = np.asarray(detuning, dtype=object)
     a, b, _, _ = _mode_operators(trunc.n_max + 1)
-    amp = rho.expectation(a if drive.forward else b)
-    return _transmitted(params, amp / trunc.drive_amp)
+    result = np.empty(detunings.shape + (len(names),))
+    for index, value in np.ndenumerate(detunings):
+        shared = None
+        for column, name in enumerate(names):
+            drive = DriveSpec(name, value)
+            rho = steady_density_matrix(build_liouvillian(params, trunc, drive), shared)
+            shared = rho.preconditioner
+            amp = rho.expectation(a if drive.forward else b)
+            result[index + (column,)] = _transmitted(params, amp / trunc.drive_amp)
+    if isinstance(direction, str):
+        result = result[..., 0]
+    return float(result) if result.ndim == 0 else result

@@ -271,6 +271,24 @@ def test_validate_weak_drive_agreement(tmp_path):
         assert float(cells[4]) <= 1e-3
 
 
+def test_validate_factors_each_detuning_once(tmp_path, monkeypatch):
+    from ringqed import oracle
+
+    factored = []
+    splu = oracle.splu
+
+    def counting_splu(matrix, **kwargs):
+        factored.append(matrix.shape[0])
+        return splu(matrix, **kwargs)
+
+    monkeypatch.setattr(oracle, "splu", counting_splu)
+    config = write_config(tmp_path / "c.json", {"params": NONIDEAL_PARAMS})
+    assert run("validate", config, tmp_path / "out", "--set", "validate.n=3") == 0
+    # both directions share each detuning's 2 * n_max + 3 level blocks
+    assert len(factored) == 3 * (2 * 2 + 3)
+    assert len(read_lines(tmp_path / "out" / "validate.csv")) == 1 + 3 * 2
+
+
 def test_validate_threads_do_not_change_output(tmp_path):
     config = write_config(tmp_path / "c.json", {"params": IDEAL_PARAMS})
     serial = tmp_path / "serial"
@@ -542,6 +560,20 @@ def test_exit_path_writes_error_json(tmp_path, monkeypatch, command, config, ext
     assert main([command, "c.json", "--out-dir", "out", *extra]) == code
     record = json.loads(Path("out", "error.json").read_text(encoding="utf-8"))
     assert (record["error"], record["exit_code"]) == (error, code)
+
+
+def test_uncreatable_out_dir_exits_1_on_stderr_only(tmp_path, capsys):
+    # the one failure that leaves no error.json: there is nowhere to put it
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a plain file\n", encoding="utf-8")
+    config = write_config(tmp_path / "c.json", {"params": IDEAL_PARAMS})
+    assert run("spectrum", config, blocker / "out") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "blocker" in lines[0] and "Traceback" not in captured.err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["blocker", "c.json"]
 
 
 # --- console entry point ---

@@ -38,7 +38,7 @@ CASES = {
 }
 
 # |new - old| <= rtol * |old| + atol, per oracle column
-TOLERANCES = {"t_oracle": (1e-11, 1e-13), "rel_dev": (0.0, 1e-10)}
+TOLERANCES = {"t_oracle": (1e-11, 1e-13), "rel_dev": (0.0, 1e-11)}
 
 
 def replay(config_path, out_dir):

@@ -390,25 +390,26 @@ def test_preconditioner_solves_the_constrained_undriven_system(case, seed):
     trunc = TruncationSpec(n_max=n_max, drive_amp=0.05)
     lio = build_liouvillian(params, trunc, DriveSpec("backward", detuning))
     d = trunc.dimension
-    captured = {}
-
-    def capturing_gmres(matrix, rhs, **kwargs):
-        captured.update(kwargs)
-        return np.zeros_like(rhs), 0
-
     constrained = oracle._trace_constrained(lio)
     rhs = np.zeros(d * d, dtype=complex)
     rhs[0] = 1.0
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(oracle, "gmres", capturing_gmres)
-        oracle._preconditioned_solve(constrained, rhs, d)
+    precond = oracle._level_preconditioner(constrained, d)
+    applied = []
+
+    def recording(r):
+        applied.append(r.copy())
+        return precond(r)
+
+    oracle._gmres(constrained, rhs, recording)
     conserving, _ = undriven(params, n_max, detuning)
     reference = splu(oracle._trace_constrained(conserving).tocsc())
+    # GMRES starts from the undriven solution
+    assert np.array_equal(applied[0], rhs)
     rng = np.random.default_rng(seed)
     r = rng.standard_normal(d * d) + 1j * rng.standard_normal(d * d)
-    for b, x in ((rhs, captured["x0"]), (r, captured["M"].matvec(r))):
+    for b in (rhs, r):
         expected = reference.solve(b)
-        assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
+        assert np.linalg.norm(precond(b) - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 @pytest.mark.parametrize("n_max", [1, 2, 3])
@@ -475,11 +476,15 @@ def test_gmres_failure_falls_back_to_direct_solve(monkeypatch):
         factored.append((matrix.shape[0], matrix.nnz))
         return splu(matrix, **kwargs)
 
-    def failing_gmres(matrix, rhs, **kwargs):
-        return np.full_like(rhs, np.nan), 1
+    level_preconditioner = oracle._level_preconditioner
+
+    def useless_preconditioner(constrained, d):
+        # the levels are factored, but every GMRES step comes back empty
+        precond = level_preconditioner(constrained, d)
+        return lambda r: 0.0 * precond(r)
 
     monkeypatch.setattr(oracle, "splu", counting_splu)
-    monkeypatch.setattr(oracle, "gmres", failing_gmres)
+    monkeypatch.setattr(oracle, "_level_preconditioner", useless_preconditioner)
     rho = steady_density_matrix(lio).matrix
     # the preconditioner level by level, then the full matrix, which has
     # the drive's entries
@@ -492,6 +497,29 @@ def test_gmres_failure_falls_back_to_direct_solve(monkeypatch):
     assert np.max(np.abs(rho - direct_steady_state(lio))) <= 1e-14
     with pytest.raises(SteadyStateError, match="Hermiticity"):
         steady_density_matrix(skewed)
+
+
+@pytest.mark.parametrize("n_max", [3, 4])
+def test_weak_drive_point_applies_the_preconditioner_at_most_six_times(n_max, monkeypatch):
+    applied = []
+    level_preconditioner = oracle._level_preconditioner
+
+    def counting_preconditioner(constrained, d):
+        precond = level_preconditioner(constrained, d)
+
+        def counted(r):
+            applied.append(r.shape)
+            return precond(r)
+
+        return counted
+
+    monkeypatch.setattr(oracle, "_level_preconditioner", counting_preconditioner)
+    trunc = TruncationSpec(n_max=n_max, drive_amp=0.01)
+    for direction in ("forward", "backward"):
+        applied.clear()
+        oracle_transmission(NONIDEAL, trunc, direction, -12.0)
+        # x0, then one per GMRES step; scipy's gmres with the same start took 9
+        assert 1 < len(applied) <= 6
 
 
 def test_other_dimensions_solve_directly():
@@ -521,6 +549,26 @@ def test_steady_state_input_validation():
         steady_density_matrix(sparse.csc_matrix((16, 9), dtype=complex))
     with pytest.raises(ValidationError, match="perfect square"):
         steady_density_matrix(sparse.identity(15, format="csc", dtype=complex))
+
+
+def test_shared_factors_give_the_same_transmissions():
+    # both directions at a detuning reuse the first one's level factors,
+    # which are the factors each direction would have made on its own
+    directions = ("forward", "backward")
+    detunings = [-12.0, 3.0, 25.0]
+    table = oracle_transmission(NONIDEAL, WEAK, directions, detunings)
+    assert table.shape == (3, 2)
+    for row, detuning in enumerate(detunings):
+        for column, direction in enumerate(directions):
+            alone = oracle_transmission(NONIDEAL, WEAK, direction, detuning)
+            assert isinstance(alone, float)
+            assert table[row, column] == alone
+    assert np.array_equal(oracle_transmission(NONIDEAL, WEAK, "backward", detunings), table[:, 1])
+    assert np.array_equal(oracle_transmission(NONIDEAL, WEAK, directions, 3.0), table[1])
+    with pytest.raises(ValidationError, match="detuning"):
+        oracle_transmission(NONIDEAL, WEAK, directions, [0.0, True])
+    with pytest.raises(ValidationError, match="direction"):
+        oracle_transmission(NONIDEAL, WEAK, ["forward", "sideways"], 0.0)
 
 
 def test_oracle_transmission_requires_drive():
