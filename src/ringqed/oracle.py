@@ -442,6 +442,8 @@ def oracle_transmission(
             shared = rho.preconditioner
             amp = rho.expectation(a if drive.forward else b)
             result[index + (column,)] = _transmitted(params, amp / trunc.drive_amp)
+        # free this detuning's factors before the next one's are made
+        rho = shared = None
     if isinstance(direction, str):
         result = result[..., 0]
     return float(result) if result.ndim == 0 else result
