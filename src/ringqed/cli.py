@@ -267,8 +267,9 @@ def _run_validate(config, params):
     except TruncationError as exc:
         raise ConfigError(str(exc)) from exc
     grid = _grid(block, "validate").tolist()
+    t_oracle = oracle_transmission(params, trunc, directions, grid).tolist()
     rows = []
-    for dc, t_row in zip(grid, oracle_transmission(params, trunc, directions, grid).tolist()):
+    for dc, t_row in zip(grid, t_oracle):
         for direction, t_orc in zip(directions, t_row):
             t_lin = transmission(params, DriveSpec(direction, dc))
             rel = abs(t_orc - t_lin) / max(abs(t_lin), 1e-2)

@@ -316,19 +316,20 @@ def _level_preconditioner(constrained, d: int):
     return solve
 
 
-def _gmres(matrix, rhs, precond, restart: int = 50, cycles: int = 20):
+def _gmres(matrix, rhs, precond):
     """Right-preconditioned GMRES from x0 = precond(rhs), or None.
 
     Each step minimizes the true residual over x0 plus the span of the
     preconditioned basis vectors, which are kept as in flexible GMRES
     (Y. Saad, SIAM J. Sci. Comput. 14, 461 (1993)), so k steps apply
     precond k times and the update needs no further pass. Converged when
-    |rhs - matrix @ x| <= 1e-14 |rhs|; None if that fails after `cycles`
-    restarts of at most `restart` steps.
+    |rhs - matrix @ x| <= 1e-14 |rhs|; None if that fails after 20
+    cycles of at most 50 steps.
     """
+    restart = 50
     tol = 1e-14 * np.linalg.norm(rhs)
     x = precond(rhs)
-    for _ in range(cycles):
+    for _ in range(20):
         residual = rhs - matrix @ x
         beta = np.linalg.norm(residual)
         if beta <= tol:

@@ -153,15 +153,14 @@ def test_criterion_5_linearization_certified_against_full_model():
     for params in (replace(NONIDEAL_AXIS, h=0.0, p=1.0, delta12=0.0), NONIDEAL_AXIS):
         # one factorization per detuning and cutoff serves both directions
         t_fine = oracle_transmission(params, fine, directions, grid)
-        t_coarse_grid = oracle_transmission(params, coarse, directions, grid)
+        t_coarse = oracle_transmission(params, coarse, directions, grid)
         for column, direction in enumerate(directions):
             for row, detuning in enumerate(grid):
                 t_lin = transmission(params, DriveSpec(direction, float(detuning)))
                 t_orc = t_fine[row, column]
                 rel = abs(t_orc - t_lin) / max(t_lin, 0.01)
                 assert rel <= 1e-3
-                t_coarse = t_coarse_grid[row, column]
-                assert abs(t_orc - t_coarse) < 1e-6
+                assert abs(t_orc - t_coarse[row, column]) < 1e-6
     assert time.perf_counter() - started < 300.0
 
 

@@ -518,7 +518,7 @@ def test_weak_drive_point_applies_the_preconditioner_at_most_six_times(n_max, mo
     for direction in ("forward", "backward"):
         applied.clear()
         oracle_transmission(NONIDEAL, trunc, direction, -12.0)
-        # x0, then one per GMRES step; scipy's gmres with the same start took 9
+        # x0, then one per GMRES step
         assert 1 < len(applied) <= 6
 
 
