@@ -27,11 +27,24 @@ Damping lowers N_i and N_j together, so in ascending N_i the k >= 0 part
 is block upper triangular by level: jumps reach level N_i + 1 only, the
 trace row every level. Each level's diagonal block gets its own
 natural-order LU, and the off-diagonal blocks are applied by block
-back-substitution, so no LU fills them. The undriven part is the same
-for both directions and every drive amplitude, so the solves at one
-detuning share its factors. Where that does not apply (a dimension
-outside the basis, a singular level block, GMRES not converging) a
-direct LU of the full constrained matrix is the fallback.
+back-substitution, so no LU fills them. A level is factored the first
+time a vector reaches it, and back-substitution starts at the vector's
+highest level. The drive raises a vector's highest level by at most one
+and the preconditioner never raises it, so each application reaches at
+most one level more than the one before: a weak-drive point that
+converges after five applications factors levels 0-4 only. The levels
+above hold exact zeros, so skipping them changes no result. The
+undriven part is the same for both directions and every drive
+amplitude, so the solves at one detuning share its factors, and a later
+solve factors whatever further levels it reaches.
+
+A direct LU of the full constrained matrix is the fallback for a
+dimension outside the basis, a constrained matrix with an empty row or
+column, a singular level block that a solve reaches, and GMRES not
+converging. An exactly singular level block that no vector reaches goes
+undetected. build_liouvillian's generators have none: SystemParams
+keeps kappa and gamma positive, so every level above 0 decays, and
+level 0 holds the trace row.
 """
 
 from __future__ import annotations
@@ -88,10 +101,12 @@ class TruncationSpec:
 class SteadyDensityMatrix:
     """Steady-state density matrix over the truncated space.
 
-    preconditioner is the factored undriven part the solve used, or None
-    where none applies. A Liouvillian with the same parameters, cutoff and
-    detuning has the same undriven part, whatever the drive's direction or
-    amplitude, so its `steady_density_matrix` can reuse it.
+    preconditioner is the solve with the undriven part that GMRES used,
+    holding the level factors made so far, or None where none applies.
+    A Liouvillian with the same parameters, cutoff and detuning has
+    the same undriven part, whatever the drive's direction or amplitude,
+    so its `steady_density_matrix` can reuse them, factoring any further
+    level it reaches.
     """
 
     matrix: np.ndarray
@@ -266,6 +281,12 @@ def _levels(d: int):
     return kept, mirrored, positive, place, order, bounds
 
 
+def _has_empty_line(csr) -> bool:
+    """Whether the square CSR matrix has a row or a column with no stored entry."""
+    n = csr.shape[0]
+    return not (np.all(np.diff(csr.indptr)) and np.all(np.bincount(csr.indices, minlength=n)))
+
+
 def _preconditioner_matrix(constrained, d: int) -> sparse.csc_matrix:
     """The entries of constrained whose row and column share an order k >= 0.
 
@@ -284,27 +305,30 @@ def _preconditioner_matrix(constrained, d: int) -> sparse.csc_matrix:
 def _level_preconditioner(constrained, d: int):
     """Solve with the undriven part of constrained, factored level by level.
 
-    Returns None when d is not a dimension of the documented basis or a
-    level block is singular.
+    A level is factored the first time a vector holds a nonzero in it or in
+    a level above; back-substitution starts at the vector's highest level.
+    The solve raises RuntimeError if a level it reaches is singular.
+    Returns None when d is not a dimension of the documented basis or
+    constrained has an empty row or column.
     """
     levels = _levels(d)
-    if levels is None:
+    if levels is None or _has_empty_line(constrained):
         return None
     kept, mirrored, positive, _, _, bounds = levels
     matrix = _preconditioner_matrix(constrained, d)
     factors = []
-    try:
-        for start, stop in zip(bounds[:-1], bounds[1:]):
-            lu = splu(matrix[start:stop, start:stop], permc_spec="NATURAL")
-            factors.append((start, stop, lu, matrix[:start, start:stop]))
-    except RuntimeError:
-        return None
-    factors.reverse()
     mirrored_positive = mirrored[positive]
 
     def solve(r):
         y = np.stack((r[kept], np.conj(r[mirrored])), axis=1)
-        for start, stop, lu, above in factors:
+        # the levels up to the vector's highest; those above hold only zeros
+        nonzero = np.flatnonzero(y)
+        reached = np.searchsorted(bounds, nonzero[-1] // 2, side="right") if nonzero.size else 0
+        for level in range(len(factors), reached):
+            start, stop = bounds[level], bounds[level + 1]
+            lu = splu(matrix[start:stop, start:stop], permc_spec="NATURAL")
+            factors.append((start, stop, lu, matrix[:start, start:stop]))
+        for start, stop, lu, above in reversed(factors[:reached]):
             y[start:stop] = lu.solve(y[start:stop])
             if start:
                 y[:start] -= above @ y[start:stop]
@@ -358,8 +382,10 @@ def steady_density_matrix(liouvillian, preconditioner=None) -> SteadyDensityMatr
     """Null vector of the Liouvillian normalized to unit trace.
 
     preconditioner is the `preconditioner` of an earlier steady state with
-    the same undriven part; by default the undriven part is factored here.
-    Raises NonUniqueSteadyStateError if the null space is degenerate, and
+    the same undriven part; by default one is made here. Either way a
+    level block is factored only when a GMRES vector reaches it, and a
+    singular one sends the solve to the direct LU. Raises
+    NonUniqueSteadyStateError if the null space is degenerate, and
     SteadyStateError if the residual of the Liouvillian exceeds 1e-8 or
     the result violates the Hermiticity, trace or positivity tolerance.
     """
@@ -376,7 +402,10 @@ def steady_density_matrix(liouvillian, preconditioner=None) -> SteadyDensityMatr
     rhs[0] = 1.0
     if preconditioner is None:
         preconditioner = _level_preconditioner(constrained, d)
-    vec = None if preconditioner is None else _gmres(constrained, rhs, preconditioner)
+    try:
+        vec = None if preconditioner is None else _gmres(constrained, rhs, preconditioner)
+    except RuntimeError:  # a level block the solve reached is singular
+        vec = None
     if vec is None:
         try:
             vec = splu(constrained.tocsc()).solve(rhs)

@@ -274,19 +274,36 @@ def test_validate_weak_drive_agreement(tmp_path):
 def test_validate_factors_each_detuning_once(tmp_path, monkeypatch):
     from ringqed import oracle
 
-    factored = []
-    splu = oracle.splu
+    solves = []
+    splu, steady = oracle.splu, oracle.steady_density_matrix
 
     def counting_splu(matrix, **kwargs):
-        factored.append(matrix.shape[0])
+        solves[-1]["factored"].append(matrix.shape[0])
         return splu(matrix, **kwargs)
 
+    def recording_steady(liouvillian, preconditioner=None):
+        solves.append({"given": preconditioner, "factored": []})
+        rho = steady(liouvillian, preconditioner)
+        solves[-1]["made"] = rho.preconditioner
+        return rho
+
     monkeypatch.setattr(oracle, "splu", counting_splu)
+    monkeypatch.setattr(oracle, "steady_density_matrix", recording_steady)
     config = write_config(tmp_path / "c.json", {"params": NONIDEAL_PARAMS})
     assert run("validate", config, tmp_path / "out", "--set", "validate.n=3") == 0
-    # both directions share each detuning's 2 * n_max + 3 level blocks
-    assert len(factored) == 3 * (2 * 2 + 3)
     assert len(read_lines(tmp_path / "out" / "validate.csv")) == 1 + 3 * 2
+    # the level sizes at the default n_max = 2 differ, so a size names a level
+    levels = list(np.diff(oracle._levels(oracle.TruncationSpec(n_max=2).dimension)[5]))
+    assert len(set(levels)) == len(levels)
+    assert len(solves) == 3 * 2
+    for forward, backward in zip(solves[::2], solves[1::2]):
+        # the backward solve reuses the forward one's level factors, and a
+        # level block is factored at most once per detuning, from level 0 up
+        assert forward["given"] is None
+        assert backward["given"] is forward["made"] is backward["made"]
+        factored = forward["factored"] + backward["factored"]
+        assert 1 <= len(factored) <= len(levels)
+        assert factored == levels[: len(factored)]
 
 
 def test_validate_threads_do_not_change_output(tmp_path):

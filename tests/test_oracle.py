@@ -486,10 +486,11 @@ def test_gmres_failure_falls_back_to_direct_solve(monkeypatch):
     monkeypatch.setattr(oracle, "splu", counting_splu)
     monkeypatch.setattr(oracle, "_level_preconditioner", useless_preconditioner)
     rho = steady_density_matrix(lio).matrix
-    # the preconditioner level by level, then the full matrix, which has
-    # the drive's entries
+    # the levels GMRES reached, each once (their sizes differ at n_max 2),
+    # then the full matrix, which has the drive's entries
     *levels, (full_dim, full_nnz) = factored
-    assert len(levels) == 2 * WEAK.n_max + 3
+    assert len(levels) >= 1
+    assert len({dim for dim, _ in levels}) == len(levels)
     assert all(dim < WEAK.dimension**2 for dim, _ in levels)
     assert full_dim == WEAK.dimension**2
     assert full_nnz > max(nnz for _, nnz in levels)
@@ -520,6 +521,56 @@ def test_weak_drive_point_applies_the_preconditioner_at_most_six_times(n_max, mo
         oracle_transmission(NONIDEAL, trunc, direction, -12.0)
         # x0, then one per GMRES step
         assert 1 < len(applied) <= 6
+
+
+def level_sizes(n_max):
+    return list(np.diff(oracle._levels(TruncationSpec(n_max=n_max).dimension)[5]))
+
+
+@pytest.fixture
+def factored(monkeypatch):
+    """Sizes of the matrices the oracle factors, in order."""
+    sizes = []
+
+    def counting_splu(matrix, **kwargs):
+        sizes.append(matrix.shape[0])
+        return splu(matrix, **kwargs)
+
+    monkeypatch.setattr(oracle, "splu", counting_splu)
+    return sizes
+
+
+def test_weak_drive_n_max_4_point_factors_levels_0_to_4(factored):
+    trunc = TruncationSpec(n_max=4, drive_amp=0.01)
+    oracle_transmission(NONIDEAL, trunc, "forward", -12.0)
+    # five preconditioner applications reach levels 0-4 of 11
+    assert len(level_sizes(4)) == 11
+    assert factored == level_sizes(4)[:5]
+
+
+def test_strong_drive_reaches_every_level(factored):
+    lio = build_liouvillian(NONIDEAL, TruncationSpec(n_max=3, drive_amp=3.0),
+                            DriveSpec("forward", -12.0))
+    rho = steady_density_matrix(lio).matrix
+    assert factored == level_sizes(3)
+    assert np.max(np.abs(rho - direct_steady_state(lio))) <= 1e-12
+
+
+def test_singular_reached_level_falls_back_to_direct_solve(monkeypatch):
+    lio = build_liouvillian(NONIDEAL, WEAK, DriveSpec("backward", 3.0))
+    factored = []
+
+    def failing_splu(matrix, **kwargs):
+        factored.append(matrix.shape[0])
+        if 1 < matrix.shape[0] < WEAK.dimension**2:
+            raise RuntimeError("Factor is exactly singular")
+        return splu(matrix, **kwargs)
+
+    monkeypatch.setattr(oracle, "splu", failing_splu)
+    rho = steady_density_matrix(lio).matrix
+    # level 0, then level 1 fails inside GMRES, then the full matrix
+    assert factored == level_sizes(WEAK.n_max)[:2] + [WEAK.dimension**2]
+    assert np.max(np.abs(rho - direct_steady_state(lio))) <= 1e-14
 
 
 def test_other_dimensions_solve_directly():
