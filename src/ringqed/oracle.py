@@ -12,8 +12,11 @@ the Hilbert dimension is (n_max+1)**2 * 4. Density matrices are vectorized
 column-major: vec(rho)[i + d*j] = rho[i, j].
 
 Every Liouvillian is one weighted sum over a cached term basis: eleven
-parameter-free superoperators per n_max on one shared sparse pattern, so
-a new parameter set costs one sparse product and no kron.
+parameter-free superoperators per n_max on one shared sparse pattern. The
+pattern left where whole terms vanish is cached with its plan: int32
+gathers from the Liouvillian's entries into each level block below. So a
+point costs one sparse product plus gathers, and no kron, mask, sort or
+format conversion.
 
 The steady state solves the Liouvillian with row 0 replaced by the trace
 functional, by GMRES right-preconditioned with its undriven part. Every term
@@ -50,6 +53,7 @@ level 0 holds the trace row.
 from __future__ import annotations
 
 import math
+import weakref
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -58,12 +62,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from .errors import (
-    NonUniqueSteadyStateError,
-    SteadyStateError,
-    TruncationError,
-    ValidationError,
-)
+from .errors import NonUniqueSteadyStateError, SteadyStateError, TruncationError, ValidationError
 from .model import DriveSpec, SystemParams, _transmitted, couplings
 from .tableio import finite
 
@@ -85,9 +84,7 @@ class TruncationSpec:
         if not finite(self.n_max) or int(self.n_max) != self.n_max or self.n_max < 1:
             raise TruncationError("n_max must be an integer >= 1")
         if self.n_max > MAX_N_MAX:
-            raise TruncationError(
-                "n_max=%d exceeds the supported maximum %d" % (self.n_max, MAX_N_MAX)
-            )
+            raise TruncationError("n_max=%d exceeds the supported maximum %d" % (self.n_max, MAX_N_MAX))
         if not finite(self.drive_amp) or self.drive_amp < 0:
             raise ValidationError("drive_amp must be finite and >= 0")
         object.__setattr__(self, "n_max", int(self.n_max))
@@ -192,14 +189,8 @@ def _liouvillian_pieces(n_max: int):
     pattern = np.unique(keys)
     indices = (pattern % n2).astype(np.int32)
     indptr = np.searchsorted(pattern, np.arange(n2 + 1) * n2).astype(np.int32)
-    basis = sparse.csc_matrix(
-        (
-            np.concatenate([coo.data for coo in coos]),
-            np.searchsorted(pattern, keys),
-            np.cumsum([0] + [coo.nnz for coo in coos]),
-        ),
-        shape=(pattern.size, len(coos)),
-    )
+    data, columns = np.concatenate([coo.data for coo in coos]), np.cumsum([0] + [coo.nnz for coo in coos])
+    basis = sparse.csc_matrix((data, np.searchsorted(pattern, keys), columns), shape=(pattern.size, len(coos)))
     for array in (indices, indptr, basis.data, basis.indices, basis.indptr):
         array.flags.writeable = False
     return indices, indptr, basis
@@ -215,40 +206,25 @@ def build_liouvillian(
     backscattering, helicity-split couplings, and the coherent drive of
     amplitude trunc.drive_amp on mode a (forward) or b (backward). A term
     whose coefficient vanishes (h = 0, p = 1, delta12 = 0, zero drive)
-    leaves no entries behind.
+    leaves no entries behind, nor does an entry whose terms cancel. The
+    result's index arrays view those of the cached plan of its pattern.
     """
     indices, indptr, basis = _liouvillian_pieces(trunc.n_max)
     gp, gm = couplings(params.g0, params.theta, params.p)
-    amp = trunc.drive_amp
-    drives = (amp, 0.0) if drive.forward else (0.0, amp)
+    drives = (trunc.drive_amp, 0.0) if drive.forward else (0.0, trunc.drive_amp)
     energies = (params.delta12, params.h, gp, np.conj(gp), gm, np.conj(gm), *drives, drive.detuning)
     weights = np.array([-1j * c for c in energies] + [2.0 * params.kappa, params.gamma])
-    data = basis @ weights
-    if np.count_nonzero(data) < data.size:
-        nonzero = np.flatnonzero(data)
-        data, indices, indptr = data[nonzero], indices[nonzero], np.searchsorted(nonzero, indptr)
-    n2 = indptr.size - 1
-    return sparse.csc_matrix((data, indices, indptr), shape=(n2, n2))
-
-
-def _diagnose_singular(liouvillian) -> int | None:
-    dim = liouvillian.shape[0]
-    if dim <= 1024:
-        dense = liouvillian.toarray()
-        sigma = np.linalg.svd(dense, compute_uv=False)
-        return int(np.sum(sigma < 1e-10 * max(sigma[0], 1e-300)))
-    return None
-
-
-def _trace_constrained(matrix) -> sparse.csr_matrix:
-    """The superoperator with row 0 replaced by the trace functional."""
-    csr = sparse.csr_matrix(matrix)
-    d = math.isqrt(csr.shape[0])
-    start = csr.indptr[1]
-    indptr = np.concatenate(([0], csr.indptr[1:] - start + d))
-    indices = np.concatenate((np.arange(d) * (d + 1), csr.indices[start:]))
-    data = np.concatenate((np.ones(d, dtype=csr.dtype), csr.data[start:]))
-    return sparse.csr_matrix((data, indices, indptr), shape=csr.shape)
+    # real and imaginary parts as two columns, so the real basis is not upcast
+    parts = basis @ weights.view(float).reshape(-1, 2)
+    data = parts.view(complex)[:, 0]
+    live, plan = _pattern(trunc.n_max, tuple(weights == 0))
+    nonzero = (parts != 0).view(np.uint16)[:, 0]  # both parts' tests read as one number
+    if np.count_nonzero(nonzero) == plan.indices.size:
+        data, indices, indptr = data[live], plan.indices, plan.indptr
+    else:  # some entries cancel exactly
+        keep = np.flatnonzero(nonzero)
+        data, indices, indptr = data[keep], indices[keep], np.searchsorted(keep, indptr)
+    return sparse.csc_matrix((data, indices, indptr), shape=(indptr.size - 1,) * 2)
 
 
 @lru_cache(maxsize=8)
@@ -281,53 +257,87 @@ def _levels(d: int):
     return kept, mirrored, positive, place, order, bounds
 
 
-def _has_empty_line(csr) -> bool:
-    """Whether the square CSR matrix has a row or a column with no stored entry."""
-    n = csr.shape[0]
-    return not (np.all(np.diff(csr.indptr)) and np.all(np.bincount(csr.indices, minlength=n)))
-
-
-def _preconditioner_matrix(constrained, d: int) -> sparse.csc_matrix:
-    """The entries of constrained whose row and column share an order k >= 0.
-
-    Placed in _levels' order. The caller has checked that d is a dimension
-    of the documented basis.
+@dataclass(eq=False)
+class _Plan:
+    """A Liouvillian's CSC pattern and, made once, each level's (diagonal,
+    above) blocks of the undriven part of its constrained matrix in _levels'
+    order as int32 (take, indices, indptr): the Liouvillian's entries at
+    take, 1 where take is -1 (the trace row), on a CSC pattern. levels is
+    None where the direct LU applies: d outside the basis, or an empty line.
     """
-    kept, _, _, place, order, _ = _levels(d)
-    coo = constrained.tocoo()
-    same = (order[coo.row] == order[coo.col]) & (order[coo.row] >= 0)
-    return sparse.coo_matrix(
-        (coo.data[same], (place[coo.row[same]], place[coo.col[same]])),
-        shape=(kept.size,) * 2,
-    ).tocsc()
+
+    indices: np.ndarray
+    indptr: np.ndarray
+    levels: list | None = field(init=False, default=None)
+
+    def __post_init__(self):
+        d = math.isqrt(self.indptr.size - 1)
+        if _levels(d) is None:
+            return
+        _, _, _, place, order, bounds = _levels(d)
+        # the constrained matrix: row 0 gives way to the trace row, taken from -1
+        source = np.concatenate((np.full(d, -1), np.flatnonzero(self.indices)))
+        rows = np.concatenate((np.zeros(d, np.int32), self.indices[source[d:]]))
+        cols = np.repeat(np.arange(d * d), np.diff(self.indptr))[source[d:]]
+        cols = np.concatenate((np.arange(0, d * d, d + 1), cols))
+        if not (np.bincount(rows, minlength=d * d).all() and np.bincount(cols, minlength=d * d).all()):
+            return
+        same = np.flatnonzero((order[rows] == order[cols]) & (order[rows] >= 0))
+        same = same[np.lexsort((place[rows[same]], place[cols[same]]))]
+        rows, cols, source = place[rows[same]], place[cols[same]], source[same]
+
+        def block(start, stop, low, high):
+            inside = (cols >= start) & (cols < stop) & (rows >= low) & (rows < high)
+            indptr = np.searchsorted(cols[inside], np.arange(start, stop + 1))
+            return tuple(a.astype(np.int32) for a in (source[inside], rows[inside] - low, indptr))
+
+        self.levels = [(block(start, stop, start, stop), block(start, stop, 0, start))
+                       for start, stop in zip(bounds[:-1], bounds[1:])]
 
 
-def _level_preconditioner(constrained, d: int):
-    """Solve with the undriven part of constrained, factored level by level.
+_PLANS = weakref.WeakSet()  # the plans that _pattern holds
 
-    A level is factored the first time a vector holds a nonzero in it or in
+
+@lru_cache(maxsize=8)
+def _pattern(n_max: int, vanishing: tuple):
+    """(live, plan): the basis entries that a term not in vanishing holds, and their plan."""
+    indices, indptr, basis = _liouvillian_pieces(n_max)
+    live = np.diff(basis[:, np.flatnonzero(np.logical_not(vanishing))].tocsr().indptr) > 0
+    keep = np.flatnonzero(live)
+    plan = _Plan(indices[keep], np.searchsorted(keep, indptr).astype(np.int32))
+    for array in (live, plan.indices, plan.indptr):
+        array.flags.writeable = False
+    _PLANS.add(plan)
+    return live, plan
+
+
+def _level_preconditioner(data, plan: _Plan):
+    """Solve with the undriven part of the constrained matrix, level by level.
+
+    data is a Liouvillian's on plan's pattern, which has levels. A level is
+    gathered and factored the first time a vector holds a nonzero in it or
     a level above; back-substitution starts at the vector's highest level.
     The solve raises RuntimeError if a level it reaches is singular.
-    Returns None when d is not a dimension of the documented basis or
-    constrained has an empty row or column.
     """
-    levels = _levels(d)
-    if levels is None or _has_empty_line(constrained):
-        return None
-    kept, mirrored, positive, _, _, bounds = levels
-    matrix = _preconditioner_matrix(constrained, d)
+    kept, mirrored, positive, _, _, bounds = _levels(math.isqrt(plan.indptr.size - 1))
     factors = []
     mirrored_positive = mirrored[positive]
+
+    def gather(block, shape):
+        values = data[block[0]]
+        values[block[0] < 0] = 1.0
+        return sparse.csc_matrix((values, *block[1:]), shape=shape)
 
     def solve(r):
         y = np.stack((r[kept], np.conj(r[mirrored])), axis=1)
         # the levels up to the vector's highest; those above hold only zeros
-        nonzero = np.flatnonzero(y)
-        reached = np.searchsorted(bounds, nonzero[-1] // 2, side="right") if nonzero.size else 0
+        nonzero = np.flatnonzero(y.view(float))  # four floats per row of y
+        reached = np.searchsorted(bounds, nonzero[-1] // 4, side="right") if nonzero.size else 0
         for level in range(len(factors), reached):
             start, stop = bounds[level], bounds[level + 1]
-            lu = splu(matrix[start:stop, start:stop], permc_spec="NATURAL")
-            factors.append((start, stop, lu, matrix[:start, start:stop]))
+            diagonal, above = plan.levels[level]
+            lu = splu(gather(diagonal, (stop - start,) * 2), permc_spec="NATURAL")
+            factors.append((start, stop, lu, gather(above, (start, stop - start))))
         for start, stop, lu, above in reversed(factors[:reached]):
             y[start:stop] = lu.solve(y[start:stop])
             if start:
@@ -340,21 +350,21 @@ def _level_preconditioner(constrained, d: int):
     return solve
 
 
-def _gmres(matrix, rhs, precond):
-    """Right-preconditioned GMRES from x0 = precond(rhs), or None.
+def _gmres(matvec, rhs, precond):
+    """Right-preconditioned GMRES for matvec(x) = rhs from x0 = precond(rhs), or None.
 
     Each step minimizes the true residual over x0 plus the span of the
     preconditioned basis vectors, which are kept as in flexible GMRES
     (Y. Saad, SIAM J. Sci. Comput. 14, 461 (1993)), so k steps apply
     precond k times and the update needs no further pass. Converged when
-    |rhs - matrix @ x| <= 1e-14 |rhs|; None if that fails after 20
+    |rhs - matvec(x)| <= 1e-14 |rhs|; None if that fails after 20
     cycles of at most 50 steps.
     """
     restart = 50
     tol = 1e-14 * np.linalg.norm(rhs)
     x = precond(rhs)
     for _ in range(20):
-        residual = rhs - matrix @ x
+        residual = rhs - matvec(x)
         beta = np.linalg.norm(residual)
         if beta <= tol:
             return x
@@ -364,7 +374,7 @@ def _gmres(matrix, rhs, precond):
         target[0] = beta
         for step in range(restart):
             applied.append(precond(basis[step]))
-            w = matrix @ applied[step]
+            w = matvec(applied[step])
             for row, v in enumerate(basis):
                 hessenberg[row, step] = np.vdot(v, w)
                 w -= hessenberg[row, step] * v
@@ -375,7 +385,7 @@ def _gmres(matrix, rhs, precond):
                 break
             basis.append(w / norm)
         x = x + np.stack(applied, axis=1) @ coef
-    return x if np.linalg.norm(rhs - matrix @ x) <= tol else None
+    return x if np.linalg.norm(rhs - matvec(x)) <= tol else None
 
 
 def steady_density_matrix(liouvillian, preconditioner=None) -> SteadyDensityMatrix:
@@ -396,51 +406,51 @@ def steady_density_matrix(liouvillian, preconditioner=None) -> SteadyDensityMatr
     d = math.isqrt(n2)
     if d * d != n2:
         raise ValidationError("liouvillian dimension must be a perfect square")
+    trace = np.arange(0, n2, d + 1)
 
-    constrained = _trace_constrained(lio)
+    def constrained(x):
+        # row 0 replaced by the trace, summed in order from +0 as by a CSR row
+        y = lio @ x
+        y[0] = np.cumsum(x[trace])[-1] + 0.0
+        return y
+
     rhs = np.zeros(n2, dtype=complex)
     rhs[0] = 1.0
     if preconditioner is None:
-        preconditioner = _level_preconditioner(constrained, d)
+        # scipy wraps index arrays in new views: a cached plan is known by what they view
+        views = [a.__array_interface__ for a in (lio.indices, lio.indptr)]
+        cached = (p for p in _PLANS if views == [p.indices.__array_interface__, p.indptr.__array_interface__])
+        plan = next(cached, None) or _Plan(lio.indices, lio.indptr)
+        if plan.levels is not None:
+            preconditioner = _level_preconditioner(lio.data, plan)
     try:
         vec = None if preconditioner is None else _gmres(constrained, rhs, preconditioner)
     except RuntimeError:  # a level block the solve reached is singular
         vec = None
     if vec is None:
         try:
-            vec = splu(constrained.tocsc()).solve(rhs)
+            trace_row = sparse.csr_matrix((np.ones(d, complex), trace, [0, d]), shape=(1, n2))
+            vec = splu(sparse.vstack((trace_row, lio.tocsr()[1:]), format="csc")).solve(rhs)
         except RuntimeError as exc:
-            null_dim = _diagnose_singular(lio)
-            if null_dim is not None and null_dim > 1:
-                raise NonUniqueSteadyStateError(
-                    "steady state is not unique: Liouvillian null space has "
-                    "dimension %d" % null_dim,
-                    null_dimension=null_dim,
-                ) from exc
-            raise NonUniqueSteadyStateError(
-                "trace-constrained steady-state solve is singular; the "
-                "Liouvillian null space has dimension >= 2",
-                null_dimension=null_dim,
-            ) from exc
+            sigma = np.linalg.svd(lio.toarray(), compute_uv=False) if n2 <= 1024 else None
+            null_dim = None if sigma is None else int(np.sum(sigma < 1e-10 * max(sigma[0], 1e-300)))
+            message = ("steady state is not unique: Liouvillian null space has dimension %d" % null_dim
+                       if null_dim is not None and null_dim > 1 else "trace-constrained steady-state "
+                       "solve is singular; the Liouvillian null space has dimension >= 2")
+            raise NonUniqueSteadyStateError(message, null_dimension=null_dim) from exc
 
     residual = np.linalg.norm(lio @ vec)
     if not np.all(np.isfinite(vec)) or residual > 1e-8:
-        raise SteadyStateError(
-            "steady-state residual %.3e exceeds 1e-8" % residual
-        )
+        raise SteadyStateError("steady-state residual %.3e exceeds 1e-8" % residual)
     rho = vec.reshape((d, d), order="F")
     herm_dev = np.max(np.abs(rho - rho.conj().T))
     trace_dev = abs(np.trace(rho) - 1.0)
     if herm_dev > 1e-10 or trace_dev > 1e-10:
-        raise SteadyStateError(
-            "steady state violates Hermiticity (%.3e) or trace (%.3e) tolerance"
-            % (herm_dev, trace_dev)
-        )
+        raise SteadyStateError("steady state violates Hermiticity (%.3e) or trace (%.3e) tolerance"
+                               % (herm_dev, trace_dev))
     min_eig = float(np.linalg.eigvalsh((rho + rho.conj().T) / 2.0).min())
     if min_eig < -1e-8:
-        raise SteadyStateError(
-            "steady state violates positivity: min eigenvalue %.3e" % min_eig
-        )
+        raise SteadyStateError("steady state violates positivity: min eigenvalue %.3e" % min_eig)
     return SteadyDensityMatrix(matrix=rho, preconditioner=preconditioner)
 
 

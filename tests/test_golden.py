@@ -36,6 +36,16 @@ CASES = {
     for name, params in (("readme", README_HARDWARE), ("broad", BROAD_DRAW))
     for n_max in (2, 3)
 }
+# one weak n_max = 4 point, and the ideal set, where whole terms (h, g_minus
+# and delta12) vanish from the Liouvillian's pattern
+CASES["weak_n4"] = {
+    "params": {"g0": 20.0, "kappa_i": 3.0, "kappa_ex": 5.0, "h": 20.0, "p": 0.8, "delta12": 30.0},
+    "validate": {"n_max": 4, "start": -12.0, "stop": -12.0, "n": 1, "directions": ["forward"]},
+}
+CASES["ideal_n3"] = {
+    "params": {"g0": 20.0, "kappa_i": 3.0, "kappa_ex": 5.0, "h": 0.0, "p": 1.0, "delta12": 0.0},
+    "validate": {"n_max": 3, "start": -20.0, "stop": 20.0, "n": 2},
+}
 
 # |new - old| <= rtol * |old| + atol, per oracle column
 TOLERANCES = {"t_oracle": (1e-11, 1e-13), "rel_dev": (0.0, 1e-11)}
@@ -57,7 +67,8 @@ def test_validate_matches_golden_output(case, tmp_path):
     new_lines = (tmp_path / "validate.csv").read_text(encoding="utf-8").splitlines()
     old_lines = (golden / "validate.csv").read_text(encoding="utf-8").splitlines()
     assert new_lines[0] == old_lines[0] == ",".join(VALIDATE_COLUMNS)
-    assert len(new_lines) == len(old_lines) == 1 + 2 * 5
+    block = sidecar["validate"]
+    assert len(new_lines) == len(old_lines) == 1 + len(block["directions"]) * block["n"]
     new_rows = [line.split(",") for line in new_lines[1:]]
     old_rows = [line.split(",") for line in old_lines[1:]]
     assert [row[:3] for row in new_rows] == [row[:3] for row in old_rows]

@@ -57,6 +57,96 @@ def direct_steady_state(lio):
     return splu(constrained).solve(rhs).reshape((d, d), order="F")
 
 
+def reference_constrained(lio):
+    """The generator with row 0 replaced by the trace row, as CSR."""
+    csr = sparse.csr_matrix(lio)
+    d = math.isqrt(csr.shape[0])
+    start = csr.indptr[1]
+    indptr = np.concatenate(([0], csr.indptr[1:] - start + d))
+    indices = np.concatenate((np.arange(d) * (d + 1), csr.indices[start:]))
+    data = np.concatenate((np.ones(d, dtype=csr.dtype), csr.data[start:]))
+    return sparse.csr_matrix((data, indices, indptr), shape=csr.shape)
+
+
+def reference_undriven(constrained, d):
+    """The entries of constrained whose row and column share an order k >= 0.
+
+    Placed in _levels' order by masks and a COO-to-CSC sort, per point, as
+    the solver assembled its undriven part before it had a plan.
+    """
+    kept, _, _, place, order, _ = oracle._levels(d)
+    coo = constrained.tocoo()
+    same = (order[coo.row] == order[coo.col]) & (order[coo.row] >= 0)
+    return sparse.coo_matrix(
+        (coo.data[same], (place[coo.row[same]], place[coo.col[same]])),
+        shape=(kept.size,) * 2,
+    ).tocsc()
+
+
+def gather(data, block, shape):
+    """A plan's block as its docstring defines it: data at take, 1 at take -1."""
+    take, indices, indptr = block
+    values = data[take]
+    values[take < 0] = 1.0
+    return sparse.csc_matrix((values, indices, indptr), shape=shape)
+
+
+def plan_blocks(data, plan, d):
+    """Each level's (start, stop, diagonal, above) gathered from data."""
+    bounds = oracle._levels(d)[5]
+    for (start, stop), (diagonal, above) in zip(zip(bounds[:-1], bounds[1:]), plan.levels):
+        size = stop - start
+        yield start, stop, gather(data, diagonal, (size, size)), gather(data, above, (start, size))
+
+
+def plan_matrix(data, plan, d):
+    """A plan's blocks gathered from data into one matrix in _levels' order."""
+    size = oracle._levels(d)[0].size
+    parts = []
+    for start, stop, diagonal, above in plan_blocks(data, plan, d):
+        for block, first_row in ((diagonal.tocoo(), start), (above.tocoo(), 0)):
+            parts.append((block.data, block.row + first_row, block.col + start))
+    values, rows, cols = (np.concatenate(arrays) for arrays in zip(*parts))
+    return sparse.coo_matrix((values, (rows, cols)), shape=(size, size)).tocsc()
+
+
+def views(array, owner):
+    """Whether array is owner or a view of it."""
+    return array is owner or array.base is owner
+
+
+def identical(a, b):
+    """Same CSC pattern and the same entries bit for bit."""
+    return (a.shape == b.shape and np.array_equal(a.indptr, b.indptr)
+            and np.array_equal(a.indices, b.indices)
+            and np.array_equal(a.data.view(np.int64), b.data.view(np.int64)))
+
+
+def solver_internals(lio):
+    """(data, plan, matvec, factored) that steady_density_matrix(lio) used, and rho."""
+    seen = {"factored": []}
+    level_preconditioner, gmres = oracle._level_preconditioner, oracle._gmres
+
+    def recording_splu(matrix, **kwargs):
+        seen["factored"].append(matrix)
+        return splu(matrix, **kwargs)
+
+    def recording_preconditioner(data, plan):
+        seen.update(data=data, plan=plan)
+        return level_preconditioner(data, plan)
+
+    def recording_gmres(matvec, rhs, precond):
+        seen["matvec"] = matvec
+        return gmres(matvec, rhs, precond)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "_level_preconditioner", recording_preconditioner)
+        patch.setattr(oracle, "_gmres", recording_gmres)
+        patch.setattr(oracle, "splu", recording_splu)
+        rho = steady_density_matrix(lio).matrix
+    return seen["data"], seen["plan"], seen["matvec"], seen["factored"], rho
+
+
 # --- truncation spec ---
 
 
@@ -191,9 +281,9 @@ def test_undriven_part_is_liouvillian_without_drive():
     kept = oracle._levels(d)[0]
     for direction in ("forward", "backward"):
         drive = DriveSpec(direction, 4.0)
-        constrained = oracle._trace_constrained(build_liouvillian(NONIDEAL, driven, drive))
-        matrix = oracle._preconditioner_matrix(constrained, d)
-        reference = oracle._trace_constrained(build_liouvillian(NONIDEAL, silent, drive))
+        data, plan, _, _, _ = solver_internals(build_liouvillian(NONIDEAL, driven, drive))
+        matrix = plan_matrix(data, plan, d)
+        reference = reference_constrained(build_liouvillian(NONIDEAL, silent, drive))
         reference = reference[kept][:, kept]
         assert matrix.nnz == reference.nnz
         assert abs(matrix - reference).max() == 0.0
@@ -390,19 +480,19 @@ def test_preconditioner_solves_the_constrained_undriven_system(case, seed):
     trunc = TruncationSpec(n_max=n_max, drive_amp=0.05)
     lio = build_liouvillian(params, trunc, DriveSpec("backward", detuning))
     d = trunc.dimension
-    constrained = oracle._trace_constrained(lio)
+    constrained = reference_constrained(lio)
     rhs = np.zeros(d * d, dtype=complex)
     rhs[0] = 1.0
-    precond = oracle._level_preconditioner(constrained, d)
+    precond = oracle._level_preconditioner(lio.data, oracle._Plan(lio.indices, lio.indptr))
     applied = []
 
     def recording(r):
         applied.append(r.copy())
         return precond(r)
 
-    oracle._gmres(constrained, rhs, recording)
+    oracle._gmres(lambda x: constrained @ x, rhs, recording)
     conserving, _ = undriven(params, n_max, detuning)
-    reference = splu(oracle._trace_constrained(conserving).tocsc())
+    reference = splu(reference_constrained(conserving).tocsc())
     # GMRES starts from the undriven solution
     assert np.array_equal(applied[0], rhs)
     rng = np.random.default_rng(seed)
@@ -418,7 +508,7 @@ def test_preconditioner_order_is_block_upper_triangular(n_max):
     kept = oracle._levels(d)[0]
     order, n_i = excitation_orders(n_max)
     # no entry below the (level, k) diagonal blocks, the trace row included
-    restricted = oracle._trace_constrained(conserving)[kept][:, kept].tocoo()
+    restricted = reference_constrained(conserving)[kept][:, kept].tocoo()
     assert restricted.nnz > 0
     rows, cols = kept[restricted.row], kept[restricted.col]
     assert np.array_equal(order[rows], order[cols])
@@ -452,6 +542,107 @@ def test_levels_sort_the_orders_k_nonnegative_by_level_then_order(n_max):
     assert np.all(place[k < 0] == -1)
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    oracle_params,
+    st.sets(st.sampled_from(["h", "p", "delta12"])),
+    st.integers(1, 3),
+    st.sampled_from(["forward", "backward"]),
+    st.one_of(st.just(0.0), st.floats(1e-3, 3.0)),
+    st.floats(-60.0, 60.0),
+)
+@example(NONIDEAL, set(), 4, "forward", 0.01, -12.0)
+def test_plan_matches_the_mask_and_sort_reference(params, ideal, n_max, direction, amp, detuning):
+    # h = 0, p = 1, delta12 = 0 and zero drive each take whole terms out
+    params = replace(params, **{name: 1.0 if name == "p" else 0.0 for name in ideal})
+    trunc = TruncationSpec(n_max=n_max, drive_amp=amp)
+    lio = build_liouvillian(params, trunc, DriveSpec(direction, detuning))
+    d = trunc.dimension
+    data, plan, matvec, factored, _ = solver_internals(lio)
+    # the solver found the cached plan whose arrays the Liouvillian views
+    assert plan in oracle._PLANS
+    assert views(lio.indices, plan.indices) and views(lio.indptr, plan.indptr)
+    constrained = reference_constrained(lio)
+    reference = reference_undriven(constrained, d)
+    bounds = oracle._levels(d)[5]
+    assert len(plan.levels) == bounds.size - 1
+    for start, stop, diagonal, above in plan_blocks(data, plan, d):
+        assert identical(diagonal, reference[start:stop, start:stop])
+        assert identical(above, reference[:start, start:stop])
+    # and the solver factors those blocks, from level 0 up
+    assert factored
+    for matrix, (start, stop) in zip(factored, zip(bounds[:-1], bounds[1:])):
+        assert identical(matrix, reference[start:stop, start:stop])
+    # GMRES multiplies by the constrained matrix, bit for bit
+    # (a random vector, the same with a diagonal of negative zeros, and e_0)
+    x = np.array([1.0, 1j]) @ np.random.default_rng(n_max).standard_normal((2, d * d))
+    signed = x.copy()
+    signed[:: d + 1] = complex(-0.0, -0.0)
+    for x in (x, signed, np.eye(1, d * d, dtype=complex)[0]):
+        assert np.array_equal(matvec(x).view(np.int64), (constrained @ x).view(np.int64))
+
+
+def test_hand_made_pattern_builds_its_own_plan():
+    lio = build_liouvillian(NONIDEAL, WEAK, DriveSpec("forward", -12.0))
+    _, cached, _, _, expected = solver_internals(lio)
+    # one explicit zero in a level block: a pattern no cache holds
+    kept, bounds = oracle._levels(WEAK.dimension)[0], oracle._levels(WEAK.dimension)[5]
+    coo = lio.tocoo()
+    stored = set(zip(coo.row.tolist(), coo.col.tolist()))
+    row, col = next((int(r), int(c)) for r in kept[bounds[1]:bounds[2]] for c in kept[bounds[1]:bounds[2]]
+                    if (r, c) not in stored)
+    padded = sparse.csc_matrix(
+        (np.append(coo.data, 0.0), (np.append(coo.row, row), np.append(coo.col, col))), shape=lio.shape
+    )
+    assert padded.nnz == lio.nnz + 1
+    _, plan, _, _, rho = solver_internals(padded)
+    assert plan is not cached and plan not in oracle._PLANS
+    assert plan.indices.size == cached.indices.size + 1
+    assert np.max(np.abs(rho - expected)) <= 1e-14
+    # a row of stored zeros is no empty row: its level block is singular,
+    # and the solve goes on to the direct LU, which is singular too
+    silenced = lio.copy()
+    silenced.data[silenced.indices == int(kept[bounds[1]])] = 0.0
+    factored = []
+
+    def counting_splu(matrix, **kwargs):
+        factored.append(matrix.shape[0])
+        return splu(matrix, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "splu", counting_splu)
+        with pytest.raises(NonUniqueSteadyStateError):
+            steady_density_matrix(silenced)
+    assert factored[-1] == WEAK.dimension**2 and len(factored) > 1
+
+
+def test_plans_are_int32_small_and_cached_in_bounds():
+    trunc = TruncationSpec(n_max=4, drive_amp=0.01)
+    lio = build_liouvillian(NONIDEAL, trunc, DriveSpec("forward", -12.0))
+    # of the eleven weights, only the backward drive's is zero
+    live, plan = oracle._pattern(4, (False,) * 7 + (True,) + (False,) * 3)
+    assert views(lio.indices, plan.indices) and views(lio.indptr, plan.indptr)
+    arrays = [plan.indices, plan.indptr] + [a for level in plan.levels for block in level for a in block]
+    assert {a.dtype for a in arrays} == {np.dtype(np.int32)}
+    assert live.nbytes + sum(a.nbytes for a in arrays) < 1.5e6
+    maxsize = oracle._pattern.cache_info().maxsize
+    assert maxsize is not None and len(oracle._PLANS) <= maxsize
+
+
+def test_exactly_cancelling_entry_leaves_no_entry():
+    # rho[e1, 0] with e1 the first excited state: -i (delta12 / 2 + detuning)
+    # cancels, and the decay gamma / 2 underflows to 0
+    params = SystemParams(g0=1.0, kappa_i=0.0, kappa_ex=5e-324, gamma=5e-324, delta12=2.0)
+    trunc = TruncationSpec(n_max=1, drive_amp=0.5)
+    drive = DriveSpec("forward", -1.0)
+    lio = build_liouvillian(params, trunc, drive)
+    reference = reference_liouvillian(params, trunc, drive)
+    assert np.array_equal(lio.indptr, reference.indptr)
+    assert np.array_equal(lio.indices, reference.indices)
+    assert np.all(lio.data != 0)
+    assert not any(views(lio.indices, plan.indices) for plan in oracle._PLANS)
+
+
 def hermiticity_breaking(lio, d):
     """lio conjugated by a scaling of rho[1, 0] alone.
 
@@ -470,17 +661,18 @@ def test_gmres_failure_falls_back_to_direct_solve(monkeypatch):
     with pytest.raises(SteadyStateError, match="Hermiticity"):
         steady_density_matrix(skewed)
 
-    factored = []
+    factored, matrices = [], []
 
     def counting_splu(matrix, **kwargs):
         factored.append((matrix.shape[0], matrix.nnz))
+        matrices.append(matrix)
         return splu(matrix, **kwargs)
 
     level_preconditioner = oracle._level_preconditioner
 
-    def useless_preconditioner(constrained, d):
+    def useless_preconditioner(*args):
         # the levels are factored, but every GMRES step comes back empty
-        precond = level_preconditioner(constrained, d)
+        precond = level_preconditioner(*args)
         return lambda r: 0.0 * precond(r)
 
     monkeypatch.setattr(oracle, "splu", counting_splu)
@@ -494,6 +686,8 @@ def test_gmres_failure_falls_back_to_direct_solve(monkeypatch):
     assert all(dim < WEAK.dimension**2 for dim, _ in levels)
     assert full_dim == WEAK.dimension**2
     assert full_nnz > max(nnz for _, nnz in levels)
+    # the direct LU factors the constrained matrix, entry for entry
+    assert identical(matrices[-1], reference_constrained(lio).tocsc())
     assert np.max(np.abs(rho - expected)) <= 1e-14
     assert np.max(np.abs(rho - direct_steady_state(lio))) <= 1e-14
     with pytest.raises(SteadyStateError, match="Hermiticity"):
@@ -505,8 +699,8 @@ def test_weak_drive_point_applies_the_preconditioner_at_most_six_times(n_max, mo
     applied = []
     level_preconditioner = oracle._level_preconditioner
 
-    def counting_preconditioner(constrained, d):
-        precond = level_preconditioner(constrained, d)
+    def counting_preconditioner(*args):
+        precond = level_preconditioner(*args)
 
         def counted(r):
             applied.append(r.shape)
